@@ -10,11 +10,13 @@ writes only below .perfbench_work/ (scratch, removed at exit) and
 With --trace 0 it measures the end-to-end metrics: a warm closed loop in a
 fresh worker process (op_s, op_s_tail, ops_per_s, peak_rss_mb), with import
 time (setup_s) and cold subprocess operations (cold_s) measured between its
-operations.  With --trace 1 the
-worker alternates plain and traced operations and reports the per-layer
-metrics of tracer.py plus trace.overhead_frac.  Every operation's outputs are
-checked; the last stdout line is the JSON result.  README.md lists the
-workloads, metrics and predictions.
+operations.  Every time is reported at reference host speed: each sample is
+scaled by the host-speed kernel of hostspeed.py timed just before and after
+it, all on one pinned CPU; the raw wall times are in the detail record.
+With --trace 1 the worker alternates plain and traced operations and
+reports the per-layer metrics of tracer.py plus trace.overhead_frac.  Every
+operation's outputs are checked; the last stdout line is the JSON result.
+README.md lists the workloads, metrics and predictions.
 """
 
 from __future__ import annotations
@@ -32,21 +34,37 @@ import threading
 import time
 from pathlib import Path
 
+from hostspeed import REF_S, Kernel, at_reference
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 SETUP_REPEATS = 5
-COLD_REPEATS = 5
+COLD_REPEATS = 5            # cold operations of one call; 3 of several calls,
+                            # whose sum already spans several samples
+KERNEL_PASSES = 3           # host-speed kernel passes around a subprocess sample
 TAIL_BEYOND = 10            # op_s_tail: highest percentile with >= 10 samples beyond
 WORKER_GRACE_S = 100.0      # worker deadline beyond --seconds
+CHILD_TIMEOUT_S = 60.0      # deadline of one setup or cold subprocess
 perf_counter = time.perf_counter
 
 
 def nproc() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
+
+
+def pin_to_one_cpu() -> int | None:
+    """Run this process and every child on one CPU, the last it may use.
+    The CPUs of a shared host drift in speed apart from each other, and the
+    host-speed kernel speaks only for the CPU it ran on."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def cap_threads() -> None:
@@ -65,10 +83,25 @@ def child_env() -> dict:
     return env
 
 
-def machine_record() -> dict:
+def run_child(command: list, env: dict, stdout=None) -> tuple[float, int]:
+    """(wall seconds, exit code) of one subprocess.  It is awaited with a
+    blocking waitpid and a watchdog: subprocess's own timeout polls in steps
+    of up to 50 ms, which would round every time up to that step."""
+    start = perf_counter()
+    proc = subprocess.Popen(command, env=env, stdout=stdout)
+    watchdog = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
+    watchdog.start()
+    try:
+        code = proc.wait()
+    finally:
+        watchdog.cancel()
+    return perf_counter() - start, code
+
+
+def machine_record(cpus: int, pinned: int | None) -> dict:
     import numpy
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "platform": platform.platform(), "nproc": nproc(),
+            "platform": platform.platform(), "nproc": cpus, "pinned_cpu": pinned,
             "numba_importable": importlib.util.find_spec("numba") is not None,
             "blas_threads": {var: os.environ[var] for var in THREAD_VARS}}
 
@@ -108,9 +141,16 @@ class Run:
         self.args, self.plan, self.refs, self.work = args, plan, refs, work
         self.attempted = 0
         self.failures: list = []
-        self.setup: list = []
-        self.cold: list = []          # [repeat][call]
+        self.setup: list = []         # wall s
+        self.cold: list = []          # wall s, [repeat][call]
+        self.setup_ref: list = []     # at reference host speed
+        self.cold_ref: list = []      # ... [repeat], summed over the calls
         self.env = child_env()
+        self.kernel = Kernel()
+
+    def kernel_time(self) -> float:
+        """Host-speed kernel time next to a subprocess sample."""
+        return self.kernel.measure(min_passes=KERNEL_PASSES)
 
     def check(self, dirs, ran_ok: bool) -> str | None:
         from workloads import check_op
@@ -125,24 +165,30 @@ class Run:
 
     def measure_setup(self) -> None:
         """Wall time of a fresh interpreter importing ybcawo4.cli."""
-        start = perf_counter()
-        subprocess.run([sys.executable, "-c", "import ybcawo4.cli"],
-                       env=self.env, check=True, timeout=60)
-        self.setup.append(perf_counter() - start)
+        before = self.kernel_time()
+        elapsed, code = run_child([sys.executable, "-c", "import ybcawo4.cli"], self.env)
+        if code:
+            raise RuntimeError(f"import ybcawo4.cli exited with code {code}")
+        self.setup.append(elapsed)
+        self.setup_ref.append(at_reference(elapsed, before, self.kernel_time()))
 
     def measure_cold(self) -> None:
-        """Wall time of each call of one operation as a fresh
-        `python -m ybcawo4.cli` process."""
+        """Wall time of one operation as fresh `python -m ybcawo4.cli`
+        processes, one per call."""
         rep = len(self.cold)
         dirs = [self.work / f"cold{rep}-{k}" for k in range(len(self.plan.calls))]
-        ok, elapsed = True, []
+        ok, elapsed, total_ref = True, [], 0.0
+        before = self.kernel_time()
         for out_dir, (_, argv) in zip(dirs, self.plan.calls):
-            start = perf_counter()
-            proc = subprocess.run(
+            wall, code = run_child(
                 [sys.executable, "-m", "ybcawo4.cli", "--out", str(out_dir)] + argv,
-                env=self.env, stdout=subprocess.DEVNULL, timeout=60)
-            elapsed.append(perf_counter() - start)
-            ok = ok and proc.returncode == 0
+                self.env, stdout=subprocess.DEVNULL)
+            after = self.kernel_time()
+            total_ref += at_reference(wall, before, after)
+            before = after
+            elapsed.append(wall)
+            ok = ok and code == 0
+        self.cold_ref.append(total_ref)
         reason = self.check(dirs, ok)
         if reason:
             self.failures.append(f"cold {rep}: {reason}")
@@ -152,9 +198,10 @@ class Run:
         """Run the worker's loop, checking each operation.  Untraced runs also
         measure setup and cold times between operations, spread evenly over
         the loop, so that every statistic covers the same stretch of time."""
+        cold_repeats = COLD_REPEATS if len(self.plan.calls) == 1 else 3
         extras = [] if self.args.trace else sorted(
             [((k + 0.5) / SETUP_REPEATS, self.measure_setup) for k in range(SETUP_REPEATS)]
-            + [((k + 0.5) / COLD_REPEATS, self.measure_cold) for k in range(COLD_REPEATS)],
+            + [((k + 0.5) / cold_repeats, self.measure_cold) for k in range(cold_repeats)],
             key=lambda extra: extra[0])
         request = {"calls": [argv for _, argv in self.plan.calls],
                    "seconds": self.args.seconds, "trace": self.args.trace,
@@ -225,6 +272,8 @@ def main() -> int:
     if not (SRC / "ybcawo4" / "cli.py").is_file():
         print(f"error: no ybcawo4 package under {SRC}", file=sys.stderr)
         return 2
+    cpus = nproc()
+    pinned = pin_to_one_cpu()
     cap_threads()
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(HERE))
@@ -246,30 +295,39 @@ def main() -> int:
     failures = run.failures + result["failures"]
     failed = len(run.failures) + result["failed"]
     times = result["op_times"]
-    tail_value, tail_pct = tail(times)
+    times_ref = result["op_times_ref"]
+    tail_value, tail_pct = tail(times_ref)
     if args.trace:
         metrics = {name: {"value": value, "unit": layer_unit(name)}
                    for name, value in result["layers"].items()}
     else:
         metrics = {
-            "op_s": {"value": statistics.median(times), "unit": "s"},
+            "op_s": {"value": statistics.median(times_ref), "unit": "s"},
             "op_s_tail": {"value": tail_value, "unit": "s"},
-            "ops_per_s": {"value": len(times) / result["timed_wall_s"], "unit": "1/s"},
-            "cold_s": {"value": sum(statistics.median(call) for call in zip(*run.cold)),
-                       "unit": "s"},
-            "setup_s": {"value": statistics.median(run.setup), "unit": "s"},
+            "ops_per_s": {"value": len(times_ref) / sum(result["iteration_times_ref"]),
+                          "unit": "1/s"},
+            "cold_s": {"value": statistics.median(run.cold_ref), "unit": "s"},
+            "setup_s": {"value": statistics.median(run.setup_ref), "unit": "s"},
             "peak_rss_mb": {"value": result["peak_rss_mb"], "unit": "MB"},
         }
     record = {
         "workload": args.workload, "seed": args.seed, "slot": plan.slot,
         "seconds": args.seconds, "trace": args.trace,
-        "machine": machine_record(),
+        "machine": machine_record(cpus, pinned),
         "calls": [argv for _, argv in plan.calls],
         "attempted": attempted, "failed": failed,
         "error_rate": failed / attempted, "failures": failures[:20],
-        "op_times_s": times, "op_s_tail_percentile": tail_pct,
+        "op_times_s": times, "op_times_ref_s": times_ref,
+        "op_s_tail_percentile": tail_pct,
         "op_s_tail_samples": len(times), "timed_wall_s": result["timed_wall_s"],
-        "cold_times_s": run.cold, "setup_times_s": run.setup,
+        "raw_wall": None if args.trace else {
+            "op_s": statistics.median(times),
+            "ops_per_s": len(times) / result["timed_wall_s"],
+            "cold_s": statistics.median(sum(c) for c in run.cold),
+            "setup_s": statistics.median(run.setup)},
+        "kernel_times_s": result["kernel_times"], "hostspeed_ref_s": REF_S,
+        "cold_times_s": run.cold, "cold_times_ref_s": run.cold_ref,
+        "setup_times_s": run.setup, "setup_times_ref_s": run.setup_ref,
         "traced_op_times_s": result.get("traced_op_times"),
         "metrics": metrics,
     }
