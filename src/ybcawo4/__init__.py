@@ -10,7 +10,7 @@ from .errors import DomainError, NumericalError, ValidationError
 from .params import (Manifold, SpinSystemParams, UniaxialTensor, a_tensor,
                      default_params, g_tensor)
 from .spinham import (EigenSystem, build_hamiltonian, diagonalize, eigensystem,
-                      find_clock_transitions, first_order_sensitivity,
+                      eigensystems, find_clock_transitions, first_order_sensitivity,
                       high_field_states, spin_half_operators,
                       transition_magnetic_dipole, zero_field_levels,
                       zero_field_states)

@@ -1,33 +1,19 @@
-"""Hot numeric kernels: batched 4x4 eigensolves and Gaussian line synthesis.
+"""Hot numeric kernels: batched 4x4 Hamiltonians, eigenvalues and Gaussian
+line synthesis, all in numpy.
 
-Each kernel has a pure-numpy implementation (suffix ``_numpy``) and, when
-numba is importable, an ``@njit``-compiled twin (suffix ``_numba``).  The
-public names bind to the numba path unless the environment variable
-``YBCAWO4_NO_NUMBA`` is set to a truthy value.  Both paths compute the
-identical expressions so results agree to machine precision.
+``manifold_energies_numpy`` and ``gaussian_profile_numpy`` are the same
+functions as ``manifold_energies`` and ``gaussian_profile``; the suffixed
+names are kept for existing callers.
 
 Basis order everywhere: (up-Up, up-Dn, dn-Up, dn-Dn) where the first arrow
 is the electron spin projection and the second the nuclear one, both along
 the crystal c axis (z).  Energies in GHz, fields in tesla.
 """
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("YBCAWO4_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _ENV_FLAG not in ("", "0", "false")
 
-try:
-    import numba
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-
-
-def build_hamiltonians_numpy(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
+def build_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
     """Stack of 4x4 Hamiltonians, one per field row.
 
     a_par, a_perp : hyperfine components, GHz
@@ -63,13 +49,13 @@ def build_hamiltonians_numpy(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
     return h
 
 
-def manifold_energies_numpy(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
+def manifold_energies(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
     """Ascending eigenvalues (n, 4) of the manifold at each field row."""
     return np.linalg.eigvalsh(
-        build_hamiltonians_numpy(a_par, a_perp, ze_par, ze_perp, zn, fields_t))
+        build_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t))
 
 
-def gaussian_profile_numpy(grid, centers, weights, fwhm):
+def gaussian_profile(grid, centers, weights, fwhm):
     """Sum of unit-area Gaussians of common FWHM, scaled by per-line weights."""
     grid = np.asarray(grid, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -80,70 +66,5 @@ def gaussian_profile_numpy(grid, centers, weights, fwhm):
     return amp * (weights[:, None] * np.exp(-inv * d * d)).sum(axis=0)
 
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _fill_hamiltonian(h, a_par, a_perp, ze_par, ze_perp, zn, bx, by, bz):
-        gz = ze_par * bz
-        nz = zn * bz
-        h[0, 0] = a_par / 4.0 + gz / 2.0 - nz / 2.0
-        h[1, 1] = -a_par / 4.0 + gz / 2.0 + nz / 2.0
-        h[2, 2] = -a_par / 4.0 - gz / 2.0 - nz / 2.0
-        h[3, 3] = a_par / 4.0 - gz / 2.0 + nz / 2.0
-        h[1, 2] = a_perp / 2.0
-        h[2, 1] = a_perp / 2.0
-        et = ze_perp * complex(bx, -by) / 2.0
-        h[0, 2] = et
-        h[2, 0] = np.conj(et)
-        h[1, 3] = et
-        h[3, 1] = np.conj(et)
-        nt = -zn * complex(bx, -by) / 2.0
-        h[0, 1] = nt
-        h[1, 0] = np.conj(nt)
-        h[2, 3] = nt
-        h[3, 2] = np.conj(nt)
-
-    @numba.njit(cache=True)
-    def manifold_energies_numba(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
-        n = fields_t.shape[0]
-        out = np.empty((n, 4), dtype=np.float64)
-        h = np.zeros((4, 4), dtype=np.complex128)
-        for k in range(n):
-            _fill_hamiltonian(h, a_par, a_perp, ze_par, ze_perp, zn,
-                              fields_t[k, 0], fields_t[k, 1], fields_t[k, 2])
-            out[k] = np.linalg.eigvalsh(h)
-        return out
-
-    @numba.njit(cache=True)
-    def gaussian_profile_numba(grid, centers, weights, fwhm):
-        inv = 4.0 * np.log(2.0) / (fwhm * fwhm)
-        amp = 2.0 / fwhm * np.sqrt(np.log(2.0) / np.pi)
-        out = np.zeros(grid.shape[0], dtype=np.float64)
-        for i in range(centers.shape[0]):
-            c = centers[i]
-            w = weights[i]
-            for j in range(grid.shape[0]):
-                d = grid[j] - c
-                out[j] += w * np.exp(-inv * d * d)
-        return amp * out
-
-
-def _energies_dispatch(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
-    fields_t = np.ascontiguousarray(np.atleast_2d(fields_t), dtype=np.float64)
-    return manifold_energies_numba(a_par, a_perp, ze_par, ze_perp, zn, fields_t)
-
-
-def _gaussian_dispatch(grid, centers, weights, fwhm):
-    return gaussian_profile_numba(
-        np.ascontiguousarray(grid, dtype=np.float64),
-        np.ascontiguousarray(centers, dtype=np.float64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        float(fwhm))
-
-
-if USE_NUMBA:
-    manifold_energies = _energies_dispatch
-    gaussian_profile = _gaussian_dispatch
-else:
-    manifold_energies = manifold_energies_numpy
-    gaussian_profile = gaussian_profile_numpy
+manifold_energies_numpy = manifold_energies
+gaussian_profile_numpy = gaussian_profile

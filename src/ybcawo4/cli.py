@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -455,8 +456,21 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes a number list such as "-1.4,1.3" for a value.
+
+    argparse reads any token that starts with "-" and is not one plain
+    negative number as an option, so "--grid -3,4,201" would fail with
+    "expected one argument".  No option of this parser looks like a number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+,-]*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ybcawo4",
         description="Energy levels, spectra, selection rules and coherence "
                     "budgets of the 171Yb3+:CaWO4 spin system")

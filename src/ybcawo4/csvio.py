@@ -16,8 +16,12 @@ from .errors import ValidationError
 from .spectra import Spectrum, SweepMap
 
 
+FLOAT_FORMAT = "%.12g"   # every float cell, in both writers
+_BLOCK_CELLS = 1 << 14   # cells per formatting pass of write_block
+
+
 def _fmt(value) -> str:
-    return f"{float(value):.12g}"
+    return FLOAT_FORMAT % float(value)
 
 
 def write_rows(path, header, rows) -> None:
@@ -30,9 +34,27 @@ def write_rows(path, header, rows) -> None:
                              for cell in row])
 
 
+def write_block(path, header, block) -> None:
+    """Write a 2-d float array under a header; the bytes equal write_rows'.
+
+    Rows go out in chunks, each formatted by one %-operation with CRLF line
+    ends (csv.writer's), which is far faster than formatting cell by cell.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[1] != len(header):
+        raise ValidationError("block must be 2-d with one column per header name")
+    row_format = ",".join([FLOAT_FORMAT] * block.shape[1]) + "\r\n"
+    chunk = max(1, _BLOCK_CELLS // block.shape[1])
+    with Path(path).open("w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, block.shape[0], chunk):
+            rows = block[start:start + chunk]
+            handle.write((row_format * rows.shape[0]) % tuple(rows.ravel().tolist()))
+
+
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    write_rows(path, ["detuning_GHz", "absorption"],
-               zip(spectrum.detuning_ghz, spectrum.absorption))
+    write_block(path, ["detuning_GHz", "absorption"],
+                np.column_stack([spectrum.detuning_ghz, spectrum.absorption]))
 
 
 def _field_label(value_mt: float) -> str:
@@ -41,19 +63,22 @@ def _field_label(value_mt: float) -> str:
 
 def write_sweep_map(path, sweep: SweepMap) -> None:
     header = ["detuning_GHz"] + [_field_label(b) for b in sweep.field_values_mt]
-    rows = []
-    for k, detuning in enumerate(sweep.detuning_ghz):
-        rows.append([detuning] + list(sweep.absorption[:, k]))
-    write_rows(path, header, rows)
+    write_block(path, header,
+                np.column_stack([sweep.detuning_ghz, sweep.absorption.T]))
 
 
 def write_sweep_long(path, field_values, detuning_ghz, absorption) -> None:
     """Long-form sweep table (field_mT, detuning_GHz, absorption) rows."""
-    rows = []
-    for k, b in enumerate(field_values):
-        for j, d in enumerate(detuning_ghz):
-            rows.append([b, d, absorption[k, j]])
-    write_rows(path, ["field_mT", "detuning_GHz", "absorption"], rows)
+    fields = np.asarray(field_values, dtype=float)
+    detuning = np.asarray(detuning_ghz, dtype=float)
+    absorption = np.asarray(absorption, dtype=float)
+    if absorption.shape != (fields.size, detuning.size):
+        raise ValidationError("absorption must have one row per field and one "
+                              "column per detuning")
+    write_block(path, ["field_mT", "detuning_GHz", "absorption"],
+                np.column_stack([np.repeat(fields, detuning.size),
+                                 np.tile(detuning, fields.size),
+                                 absorption.ravel()]))
 
 
 def write_rosette(path, rosette) -> None:

@@ -164,6 +164,16 @@ def zero_spin_lines(params: SpinSystemParams, b_mt, offset_ghz: float = 0.0,
     return lines
 
 
+def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | None:
+    """The table itself, or the measured table of that polarization name."""
+    if not isinstance(weights, str):
+        return weights
+    try:
+        return MEASURED_BRANCHING[weights]
+    except KeyError:
+        raise ValidationError(f"unknown branching table {weights!r}") from None
+
+
 def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
                        weights: BranchingTable | str | None = None,
                        include_zero_spin: bool = True,
@@ -175,11 +185,7 @@ def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
     weights: None for equal line strengths, a BranchingTable, or one of the
     measured-polarization names ("sigma", "pi", "alpha").
     """
-    if isinstance(weights, str):
-        try:
-            weights = MEASURED_BRANCHING[weights]
-        except KeyError:
-            raise ValidationError(f"unknown branching table {weights!r}") from None
+    weights = _branching_table(weights)
     e_g = spinham.eigensystem(params, Manifold.GROUND, b_mt,
                               include_nuclear_zeeman).energies
     e_e = spinham.eigensystem(params, Manifold.EXCITED, b_mt,
@@ -198,6 +204,19 @@ def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
     return lines
 
 
+def _grid_points(grid) -> np.ndarray:
+    """Detuning grid from (min_ghz, max_ghz, points) or an explicit array."""
+    if isinstance(grid, tuple) and len(grid) == 3:
+        lo, hi, n = grid
+        if n < 2 or not hi > lo:
+            raise ValidationError("grid must span a positive range with >= 2 points")
+        return np.linspace(lo, hi, int(n))
+    x = np.asarray(grid, dtype=float)
+    if x.size < 2:
+        raise ValidationError("grid must have at least two points")
+    return x
+
+
 def synthesize_spectrum(lines, fwhm_mhz: float, grid) -> Spectrum:
     """Sum of unit-area Gaussians of common FWHM, one per line, times weights.
 
@@ -205,15 +224,7 @@ def synthesize_spectrum(lines, fwhm_mhz: float, grid) -> Spectrum:
     """
     if fwhm_mhz <= 0:
         raise ValidationError("fwhm must be positive")
-    if isinstance(grid, tuple) and len(grid) == 3:
-        lo, hi, n = grid
-        if n < 2 or not hi > lo:
-            raise ValidationError("grid must span a positive range with >= 2 points")
-        x = np.linspace(lo, hi, int(n))
-    else:
-        x = np.asarray(grid, dtype=float)
-        if x.size < 2:
-            raise ValidationError("grid must have at least two points")
+    x = _grid_points(grid)
     centers = np.array([ln.detuning_ghz for ln in lines], dtype=float)
     weights = np.array([ln.weight for ln in lines], dtype=float)
     if centers.size == 0:
@@ -253,26 +264,12 @@ def label_line_clusters(lines, resolution_ghz: float) -> list[LineCluster]:
     return out
 
 
-def _mixed_weight_table(params, b_mt, table: BranchingTable,
-                        include_nuclear_zeeman: bool) -> np.ndarray:
-    """Project the zero-field branching weights through the field-mixed states.
-
-    Incoherent approximation: w_ij(B) = sum_kl |<i(B)|k(0)>|^2 |<j(B)|l(0)>|^2
-    w_kl(0), evaluated per individual level.
-    """
-    eg0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
-                              include_nuclear_zeeman)
-    ee0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
-                              include_nuclear_zeeman)
-    eg = spinham.eigensystem(params, Manifold.GROUND, b_mt, include_nuclear_zeeman)
-    ee = spinham.eigensystem(params, Manifold.EXCITED, b_mt, include_nuclear_zeeman)
-    og = np.abs(eg.states.conj().T @ eg0.states) ** 2   # [i(B), k(0)]
-    oe = np.abs(ee.states.conj().T @ ee0.states) ** 2
-    w0 = np.empty((4, 4))
-    for k in range(4):
-        for l in range(4):
-            w0[k, l] = table.line_weight(k + 1, l + 1)
-    return og @ w0 @ oe.T
+def _group_weights(table: BranchingTable | None) -> np.ndarray:
+    """(4, 4) per-level weights [ground level, excited level] of a table."""
+    if table is None:
+        return np.ones((4, 4))
+    return np.array([[table.line_weight(i, j) for j in range(1, 5)]
+                     for i in range(1, 5)])
 
 
 def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
@@ -286,7 +283,12 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     With mixed_weights the zero-field branching weights follow the
     field-induced state mixing; otherwise they are applied as-is at every
     field (with weights=None all lines have equal strength, the convention
-    used for simulated sweep overlays).
+    used for simulated sweep overlays).  Mixing is incoherent:
+    w_ij(B) = sum_kl |<i(B)|k(0)>|^2 |<j(B)|l(0)>|^2 w_kl(0), per level.
+
+    Each manifold is diagonalized once over the whole field stack; the
+    result equals the per-field transition_catalog / synthesize_spectrum
+    path bit for bit.
     """
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -295,38 +297,45 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     fields = np.asarray(field_values_mt, dtype=float)
     if fields.size < 2:
         raise ValidationError("a sweep needs at least two field values")
-    if isinstance(grid, tuple):
-        lo, hi, n = grid
-        x = np.linspace(lo, hi, int(n))
+    if fwhm_171_mhz <= 0 or fwhm_i0_mhz <= 0:
+        raise ValidationError("fwhm must be positive")
+    x = _grid_points(grid)
+    steps = np.diff(x)
+    if (x.ndim != 1 or np.any(steps <= 0)
+            or not np.allclose(steps, steps[0], rtol=1e-9)):
+        raise ValidationError("detuning grid must be uniform and increasing")
+    weights = _branching_table(weights)
+
+    b_vecs = fields[:, None] * axis[None, :]
+    e_g, s_g = spinham.eigensystems(params, Manifold.GROUND, b_vecs,
+                                    include_nuclear_zeeman)
+    e_e, s_e = spinham.eigensystems(params, Manifold.EXCITED, b_vecs,
+                                    include_nuclear_zeeman)
+    # line (i, j) of field k: centers[k, 4 i + j] = E_e[j] - E_g[i]
+    centers = (e_e[:, None, :] - e_g[:, :, None]).reshape(fields.size, 16)
+    w0 = _group_weights(weights)
+    if mixed_weights and weights is not None:
+        g0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
+                                 include_nuclear_zeeman).states
+        x0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
+                                 include_nuclear_zeeman).states
+        og = np.abs(s_g.conj().transpose(0, 2, 1) @ g0) ** 2   # [i(B), k(0)]
+        oe = np.abs(s_e.conj().transpose(0, 2, 1) @ x0) ** 2
+        line_weights = (og @ w0 @ oe.transpose(0, 2, 1)).reshape(fields.size, 16)
     else:
-        x = np.asarray(grid, dtype=float)
-    if isinstance(weights, str):
-        weights = MEASURED_BRANCHING[weights]
+        line_weights = np.broadcast_to(w0.reshape(16), (fields.size, 16))
+    # the I0 share follows a left-to-right sum over the 16 lines (cumsum is
+    # sequential; np.sum's pairwise order would round differently)
+    totals = np.cumsum(line_weights, axis=1)[:, -1]
 
     block = np.empty((fields.size, x.size))
     for k, b in enumerate(fields):
-        b_vec = b * axis
-        if mixed_weights and weights is not None:
-            w = _mixed_weight_table(params, b_vec, weights, include_nuclear_zeeman)
-            lines = transition_catalog(params, b_vec, None, include_zero_spin=False,
-                                       include_nuclear_zeeman=include_nuclear_zeeman)
-            lines = [TransitionLine(ln.ground_index, ln.excited_index,
-                                    ln.detuning_ghz,
-                                    float(w[ln.ground_index - 1, ln.excited_index - 1]),
-                                    weights.polarization)
-                     for ln in lines]
-            total = sum(ln.weight for ln in lines)
-            lines += zero_spin_lines(params, b_vec, 0.0, zero_spin_fraction * total)
-        else:
-            lines = transition_catalog(params, b_vec, weights,
-                                       zero_spin_fraction=zero_spin_fraction,
-                                       include_nuclear_zeeman=include_nuclear_zeeman)
-        yb = [ln for ln in lines if ln.isotope == "171Yb"]
-        i0 = [ln for ln in lines if ln.isotope == "I0"]
-        y = synthesize_spectrum(yb, fwhm_171_mhz, x).absorption
-        if i0:
-            y = y + synthesize_spectrum(i0, fwhm_i0_mhz, x).absorption
-        block[k] = y
+        i0 = zero_spin_lines(params, b * axis, 0.0, zero_spin_fraction * totals[k])
+        block[k] = (_kernels.gaussian_profile(x, centers[k], line_weights[k],
+                                              fwhm_171_mhz * 1e-3)
+                    + _kernels.gaussian_profile(
+                        x, [ln.detuning_ghz for ln in i0],
+                        [ln.weight for ln in i0], fwhm_i0_mhz * 1e-3))
     return SweepMap(fields, axis, x, block)
 
 

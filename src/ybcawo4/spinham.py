@@ -40,13 +40,23 @@ def spin_half_operators():
     return sx, sy, sz
 
 
+def _read_only(op: np.ndarray) -> np.ndarray:
+    op.setflags(write=False)
+    return op
+
+
+_EYE2 = np.eye(2, dtype=complex)
+# Electron (S) and nuclear (I) vector operators on the 4-dim product space.
+S_OPS = tuple(_read_only(np.kron(o, _EYE2)) for o in spin_half_operators())
+I_OPS = tuple(_read_only(np.kron(_EYE2, o)) for o in spin_half_operators())
+
+
 def product_operators():
-    """Electron (S) and nuclear (I) vector operators on the 4-dim product space."""
-    ops = spin_half_operators()
-    eye = np.eye(2, dtype=complex)
-    s_ops = tuple(np.kron(o, eye) for o in ops)
-    i_ops = tuple(np.kron(eye, o) for o in ops)
-    return s_ops, i_ops
+    """Electron (S) and nuclear (I) vector operators on the 4-dim product space.
+
+    Both are the read-only module constants S_OPS and I_OPS.
+    """
+    return S_OPS, I_OPS
 
 
 def _zeeman_factors(params: SpinSystemParams, manifold: Manifold,
@@ -68,7 +78,7 @@ def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
         raise ValidationError("magnetic field components must be finite")
     a = params.a(manifold)
     ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
-    return _kernels.build_hamiltonians_numpy(
+    return _kernels.build_hamiltonians(
         a.parallel, a.perpendicular, ze_par, ze_perp, zn, b_t[None, :])[0]
 
 
@@ -78,7 +88,8 @@ def field_derivative_operator(params: SpinSystemParams, manifold: Manifold,
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
     ze_par, ze_perp, zn = _zeeman_factors(params, manifold)
-    (sx, sy, sz), (ix, iy, iz) = product_operators()
+    sx, sy, sz = S_OPS
+    ix, iy, iz = I_OPS
     return (ze_perp * (d[0] * sx + d[1] * sy) + ze_par * d[2] * sz
             - zn * (d[0] * ix + d[1] * iy + d[2] * iz))
 
@@ -104,18 +115,23 @@ class EigenSystem:
         return out
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    out = vec / phase
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Give every eigenvector column its largest-magnitude component real and positive."""
+    # hypot rounds like abs() of one complex scalar; np.abs of a complex
+    # array may take a vectorised path that differs in the last bit
+    magnitude = np.hypot(vectors.real, vectors.imag)
+    anchor = np.argmax(magnitude, axis=-2)[..., None, :]
+    peak = np.take_along_axis(vectors, anchor, axis=-2)
+    out = vectors / (peak / np.take_along_axis(magnitude, anchor, axis=-2))
     # scrub the residual imaginary dust on the anchor component
-    out[k] = out[k].real
+    np.put_along_axis(out, anchor, np.take_along_axis(out, anchor, axis=-2).real,
+                      axis=-2)
     return out
 
 
 def _resolve_degeneracies(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Rotate each degenerate subspace onto the basis diagonalizing Sz, then Iz."""
-    (_, _, sz), (_, _, iz) = product_operators()
+    sz, iz = S_OPS[2], I_OPS[2]
     vecs = vectors.copy()
     i = 0
     while i < 4:
@@ -133,6 +149,16 @@ def _resolve_degeneracies(energies: np.ndarray, vectors: np.ndarray) -> np.ndarr
     return vecs
 
 
+def _eigh_stack(h: np.ndarray):
+    """Energies (n, 4) and states (n, 4, 4) of a Hamiltonian stack, with the
+    ordering and phase conventions of this module; one eigh over the stack."""
+    energies, vectors = np.linalg.eigh(h)
+    degenerate = np.any(np.diff(energies, axis=1) < _DEGENERACY_TOL_GHZ, axis=1)
+    for row in np.flatnonzero(degenerate):
+        vectors[row] = _resolve_degeneracies(energies[row], vectors[row])
+    return energies, _fix_phases(vectors)
+
+
 def diagonalize(h: np.ndarray, field_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
     """Exact eigensystem with the deterministic ordering/phase conventions."""
     h = np.asarray(h, dtype=complex)
@@ -141,18 +167,37 @@ def diagonalize(h: np.ndarray, field_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
     scale = max(np.linalg.norm(h), 1.0)
     if np.linalg.norm(h - h.conj().T) > 1e-9 * scale:
         raise ValidationError("matrix is not Hermitian within 1e-9 relative")
-    energies, vectors = np.linalg.eigh(h)
-    vectors = _resolve_degeneracies(energies, vectors)
-    for k in range(4):
-        vectors[:, k] = _fix_phase(vectors[:, k])
-    return EigenSystem(energies=energies, states=vectors,
+    energies, states = _eigh_stack(h[None])
+    return EigenSystem(energies=energies[0], states=states[0],
                        field_mt=np.asarray(field_mt, dtype=float))
+
+
+def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt,
+                 include_nuclear_zeeman: bool = True):
+    """Energies (n, 4) and eigenvector columns (n, 4, 4) over a field stack (mT).
+
+    states[r, :, k] belongs to energies[r, k]; every row follows the same
+    conventions as eigensystem, which is the one-row case of this function.
+    """
+    fields = np.asarray(fields_mt, dtype=float)
+    if fields.ndim != 2 or fields.shape[1] != 3:
+        raise ValidationError("fields must be an (n, 3) stack of 3-vectors")
+    if not np.all(np.isfinite(fields)):
+        raise ValidationError("magnetic field components must be finite")
+    a = params.a(manifold)
+    ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
+    return _eigh_stack(_kernels.build_hamiltonians(
+        a.parallel, a.perpendicular, ze_par, ze_perp, zn, fields * 1e-3))
 
 
 def eigensystem(params: SpinSystemParams, manifold: Manifold, b_mt=(0.0, 0.0, 0.0),
                 include_nuclear_zeeman: bool = True) -> EigenSystem:
-    h = build_hamiltonian(params, manifold, b_mt, include_nuclear_zeeman)
-    return diagonalize(h, field_mt=b_mt)
+    b = np.asarray(b_mt, dtype=float)
+    if b.shape != (3,):
+        raise ValidationError("magnetic field must be a 3-vector")
+    energies, states = eigensystems(params, manifold, b[None, :],
+                                    include_nuclear_zeeman)
+    return EigenSystem(energies=energies[0], states=states[0], field_mt=b)
 
 
 def manifold_energies(params: SpinSystemParams, manifold: Manifold, fields_mt,
@@ -273,7 +318,8 @@ def magnetic_dipole_operator(params: SpinSystemParams, manifold: Manifold,
     d = np.asarray(bac_direction, dtype=float)
     d = d / np.linalg.norm(d)
     g = params.g(manifold)
-    (sx, sy, sz), (ix, iy, iz) = product_operators()
+    sx, sy, sz = S_OPS
+    ix, iy, iz = I_OPS
     nuclear = CONSTANTS.mu_n_over_mu_b * params.g_n
     return -(g.perpendicular * (d[0] * sx + d[1] * sy) + g.parallel * d[2] * sz
              - nuclear * (d[0] * ix + d[1] * iy + d[2] * iz))

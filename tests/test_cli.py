@@ -154,6 +154,27 @@ class TestSubcommands:
         assert code == 2
 
 
+class TestNegativeNumberListOptions:
+    """A comma list whose first entry is negative is a value in both forms."""
+
+    CASES = [
+        (["gfactor"], "--jmix-targets", "-1.446,1.293", "gfactor.csv"),
+        (["spectrum"], "--grid", "-3,4,201", "spectrum.csv"),
+        (["levels"], "--field", "-10,0,5", "levels.csv"),
+        (["sweep", "--steps", "3", "--grid=-3,4,120"], "--axis", "-1,0,0",
+         "sweep_long.csv"),
+    ]
+
+    @pytest.mark.parametrize("command,option,value,product", CASES,
+                             ids=[c[1] for c in CASES])
+    def test_space_and_equals_forms_agree(self, tmp_path, command, option,
+                                          value, product):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run_cli("--out", spaced, *command, option, value) == 0
+        assert run_cli("--out", joined, *command, f"{option}={value}") == 0
+        assert (spaced / product).read_bytes() == (joined / product).read_bytes()
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):

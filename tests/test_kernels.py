@@ -25,37 +25,3 @@ def test_gaussian_numpy_kernel_unit_area():
     grid = np.linspace(-10, 10, 20001)
     out = _kernels.gaussian_profile_numpy(grid, np.array([0.3]), np.array([2.0]), 0.185)
     assert np.trapezoid(out, grid) == pytest.approx(2.0, rel=1e-6)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_energy_paths_agree():
-    for seed in range(4):
-        args, fields = _random_inputs(seed)
-        a = _kernels.manifold_energies_numpy(fields_t=fields, **args)
-        b = _kernels.manifold_energies_numba(fields_t=np.ascontiguousarray(fields),
-                                             **args)
-        assert np.allclose(a, b, atol=1e-12, rtol=0)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_gaussian_paths_agree():
-    rng = np.random.default_rng(1)
-    grid = np.linspace(-5, 5, 3000)
-    centers = rng.uniform(-4, 4, 25)
-    weights = rng.uniform(0, 2, 25)
-    a = _kernels.gaussian_profile_numpy(grid, centers, weights, 0.2)
-    b = _kernels.gaussian_profile_numba(grid, centers, weights, 0.2)
-    assert np.allclose(a, b, atol=1e-12, rtol=1e-12)
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    import importlib
-    monkeypatch.setenv("YBCAWO4_NO_NUMBA", "1")
-    mod = importlib.reload(_kernels)
-    try:
-        assert mod.NUMBA_DISABLED
-        assert mod.manifold_energies is mod.manifold_energies_numpy
-        assert mod.gaussian_profile is mod.gaussian_profile_numpy
-    finally:
-        monkeypatch.delenv("YBCAWO4_NO_NUMBA")
-        importlib.reload(mod)

@@ -179,6 +179,119 @@ class TestFieldSweepMap:
             sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0], (-1, 1, 100))
 
 
+def _reference_mixed_weight_table(params, b_mt, table, include_nuclear_zeeman):
+    """Per-field mixed weights, as field_sweep_map computed them field by field."""
+    eg0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
+                              include_nuclear_zeeman)
+    ee0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
+                              include_nuclear_zeeman)
+    eg = spinham.eigensystem(params, Manifold.GROUND, b_mt, include_nuclear_zeeman)
+    ee = spinham.eigensystem(params, Manifold.EXCITED, b_mt, include_nuclear_zeeman)
+    og = np.abs(eg.states.conj().T @ eg0.states) ** 2
+    oe = np.abs(ee.states.conj().T @ ee0.states) ** 2
+    w0 = np.empty((4, 4))
+    for k in range(4):
+        for l in range(4):
+            w0[k, l] = table.line_weight(k + 1, l + 1)
+    return og @ w0 @ oe.T
+
+
+def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
+                         mixed_weights=False, fwhm_171_mhz=136.0,
+                         fwhm_i0_mhz=153.0,
+                         zero_spin_fraction=sp.DEFAULT_I0_FRACTION,
+                         include_nuclear_zeeman=True):
+    """The per-field loop over transition_catalog and synthesize_spectrum."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    fields = np.asarray(field_values_mt, dtype=float)
+    lo, hi, n = grid
+    x = np.linspace(lo, hi, int(n))
+    if isinstance(weights, str):
+        weights = sp.MEASURED_BRANCHING[weights]
+    block = np.empty((fields.size, x.size))
+    for k, b in enumerate(fields):
+        b_vec = b * axis
+        if mixed_weights and weights is not None:
+            w = _reference_mixed_weight_table(params, b_vec, weights,
+                                              include_nuclear_zeeman)
+            lines = sp.transition_catalog(
+                params, b_vec, None, include_zero_spin=False,
+                include_nuclear_zeeman=include_nuclear_zeeman)
+            lines = [sp.TransitionLine(
+                ln.ground_index, ln.excited_index, ln.detuning_ghz,
+                float(w[ln.ground_index - 1, ln.excited_index - 1]),
+                weights.polarization) for ln in lines]
+            total = sum(ln.weight for ln in lines)
+            lines += sp.zero_spin_lines(params, b_vec, 0.0,
+                                        zero_spin_fraction * total)
+        else:
+            lines = sp.transition_catalog(
+                params, b_vec, weights, zero_spin_fraction=zero_spin_fraction,
+                include_nuclear_zeeman=include_nuclear_zeeman)
+        yb = [ln for ln in lines if ln.isotope == "171Yb"]
+        i0 = [ln for ln in lines if ln.isotope == "I0"]
+        y = sp.synthesize_spectrum(yb, fwhm_171_mhz, x).absorption
+        if i0:
+            y = y + sp.synthesize_spectrum(i0, fwhm_i0_mhz, x).absorption
+        block[k] = y
+    return x, block
+
+
+_CUSTOM_TABLE = sp.BranchingTable(np.array([[0.1, 0.9, 0.25],
+                                            [0.5, 0.0, 1.0],
+                                            [0.75, 0.3, 0.6]]), "custom")
+
+
+class TestBatchedSweepMapEqualsPerFieldLoop:
+    """The batched map must reproduce the per-field path exactly, no tolerance."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("weights", [None, "sigma", _CUSTOM_TABLE],
+                             ids=["none", "name", "table"])
+    def test_fields_along_a_from_zero(self, weights, mixed):
+        grid = (-4.5, 5.0, 400)
+        fields = np.linspace(0.0, 200.0, 21)   # row 0: degenerate zero field
+        sweep = sp.field_sweep_map(PARAMS, (1, 0, 0), fields, grid,
+                                   weights=weights, mixed_weights=mixed)
+        x, block = _reference_sweep_map(PARAMS, (1, 0, 0), fields, grid,
+                                        weights=weights, mixed_weights=mixed)
+        assert np.array_equal(sweep.detuning_ghz, x)
+        assert np.array_equal(sweep.absorption, block)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_oblique_axis_through_zero_without_nuclear_zeeman(self, mixed):
+        grid = (-3.0, 4.0, 300)
+        fields = np.linspace(-50.0, 50.0, 11)  # row 5 is the zero field
+        params = default_params("field-sweep-fit")
+        kwargs = dict(weights="pi", mixed_weights=mixed, fwhm_171_mhz=90.0,
+                      fwhm_i0_mhz=120.0, zero_spin_fraction=0.2,
+                      include_nuclear_zeeman=False)
+        sweep = sp.field_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
+        x, block = _reference_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
+        assert np.array_equal(sweep.absorption, block)
+
+
+class TestSweepMapValidation:
+    def test_unknown_branching_name_rejected(self):
+        with pytest.raises(ValidationError, match="unknown branching table"):
+            sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0, 10.0], (-1, 1, 100),
+                               weights="delta")
+
+    @pytest.mark.parametrize("grid", [(-1, 1, 1), (1, -1, 100), (1, 1, 100),
+                                      np.array([0.0]), np.array([0.0, 0.5, 0.6])])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="grid"):
+            sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0, 10.0], grid)
+
+    @pytest.mark.parametrize("fwhm", [dict(fwhm_171_mhz=0.0),
+                                      dict(fwhm_i0_mhz=-5.0)])
+    def test_non_positive_fwhm_rejected(self, fwhm):
+        with pytest.raises(ValidationError, match="fwhm"):
+            sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0, 10.0], (-1, 1, 100),
+                               **fwhm)
+
+
 class TestEprSearch:
     def test_resonances_satisfy_the_resonance_condition(self):
         for theta in (0.0, 35.0, 90.0):

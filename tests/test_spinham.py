@@ -330,3 +330,59 @@ def test_batched_energies_match_single_calls():
     for k in range(32):
         single = sh.eigensystem(PARAMS, Manifold.GROUND, fields[k]).energies
         assert np.allclose(batch[k], single, atol=1e-12)
+
+
+def test_eigensystems_equal_per_row_diagonalize():
+    rng = np.random.default_rng(9)
+    axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    fields = np.concatenate([rng.uniform(-400, 400, size=(40, 3)),
+                             np.zeros((2, 3)),  # degenerate rows
+                             np.linspace(-60, 60, 13)[:, None] * axis])
+    for manifold in Manifold:
+        for nuclear in (True, False):
+            energies, states = sh.eigensystems(PARAMS, manifold, fields, nuclear)
+            assert energies.shape == (fields.shape[0], 4)
+            assert states.shape == (fields.shape[0], 4, 4)
+            for row, b in enumerate(fields):
+                ref = sh.diagonalize(sh.build_hamiltonian(PARAMS, manifold, b,
+                                                          nuclear), b)
+                assert np.array_equal(energies[row], ref.energies)
+                assert np.array_equal(states[row], ref.states)
+
+
+def test_eigensystems_rejects_bad_field_stacks():
+    with pytest.raises(ValidationError, match="finite"):
+        sh.eigensystems(PARAMS, Manifold.GROUND, [[0.0, np.nan, 1.0]])
+    with pytest.raises(ValidationError, match="3-vectors"):
+        sh.eigensystems(PARAMS, Manifold.GROUND, [0.0, 0.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, np.inf, 1.0))
+    with pytest.raises(ValidationError, match="3-vector"):
+        sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 1.0))
+
+
+def test_product_operators_are_read_only_constants():
+    s_ops, i_ops = sh.product_operators()
+    assert s_ops is sh.S_OPS and i_ops is sh.I_OPS
+    with pytest.raises(ValueError):
+        s_ops[2][0, 0] = 1.0
+
+
+def _reference_fix_phase(vec):
+    """The per-column phase convention, one eigenvector at a time."""
+    k = int(np.argmax(np.abs(vec)))
+    out = vec / (vec[k] / abs(vec[k]))
+    out[k] = out[k].real
+    return out
+
+
+def test_vectorised_phase_convention_equals_per_column_loop():
+    rng = np.random.default_rng(10)
+    fields = rng.uniform(-400, 400, size=(200, 3))
+    h = np.stack([sh.build_hamiltonian(PARAMS, Manifold.EXCITED, b) for b in fields])
+    _, vectors = np.linalg.eigh(h)
+    fixed = sh._fix_phases(vectors)
+    for row in range(fields.shape[0]):
+        for k in range(4):
+            assert np.array_equal(fixed[row, :, k],
+                                  _reference_fix_phase(vectors[row, :, k]))
