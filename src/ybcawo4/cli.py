@@ -152,28 +152,36 @@ def _write_manifest(config: RunConfig, command: str, outputs, started: float) ->
         handle.write("\n")
 
 
+def _number_list(raw: str, option: str, form: str, kinds) -> list:
+    """The comma-separated entries of an option value, entry k converted by
+    kinds[k]; a wrong count or a bad entry is rejected with the option named."""
+    parts = raw.split(",")
+    if len(parts) == len(kinds):
+        try:
+            return [kind(part) for kind, part in zip(kinds, parts)]
+        except ValueError:
+            pass
+    raise ValidationError(f"{option} must be {form}, got {raw!r}")
+
+
 def _grid_from_arg(raw: str):
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValidationError("grid must be min,max,points")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return tuple(_number_list(raw, "--grid", "min,max,points with integer points",
+                              (float, float, int)))
 
 
 def _axis_from_arg(raw: str) -> np.ndarray:
     named = {"a": (1.0, 0.0, 0.0), "b": (0.0, 1.0, 0.0), "c": (0.0, 0.0, 1.0)}
     if raw in named:
         return np.array(named[raw])
-    parts = [float(p) for p in raw.split(",")]
-    if len(parts) != 3 or not np.linalg.norm(parts):
-        raise ValidationError("axis must be a, b, c or three components")
+    form = "a, b, c or three components, not all zero"
+    parts = _number_list(raw, "--axis", form, (float,) * 3)
+    if not np.linalg.norm(parts):
+        raise ValidationError(f"--axis must be {form}, got {raw!r}")
     return np.asarray(parts) / np.linalg.norm(parts)
 
 
 def _field_from_arg(raw: str) -> np.ndarray:
-    parts = [float(p) for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValidationError("field must be bx,by,bz in mT")
-    return np.asarray(parts)
+    return np.asarray(_number_list(raw, "--field", "bx,by,bz in mT", (float,) * 3))
 
 
 # --- subcommand implementations -------------------------------------------
@@ -291,7 +299,7 @@ def _cmd_rules(config: RunConfig, args) -> list[Path]:
 def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
     rows = []
     if args.coeffs:
-        a, b = (float(p) for p in args.coeffs.split(","))
+        a, b = _number_list(args.coeffs, "--coeffs", "A,B", (float, float))
         coeffs = grouptheory.DoubletCoefficients.normalized(
             a, b, j=args.j, family=args.family, order=args.order)
         g_par, g_perp = grouptheory.doublet_g_factors(coeffs)
@@ -305,7 +313,8 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
         print(f"relation predicts |g_perp| = {predicted:.6f} "
               f"for g_parallel = {args.consistency}")
     if args.jmix_targets:
-        t_par, t_perp = (float(p) for p in args.jmix_targets.split(","))
+        t_par, t_perp = _number_list(args.jmix_targets, "--jmix-targets",
+                                     "G_PAR,G_PERP", (float, float))
         coeffs = grouptheory.fit_j_mixing(t_par, t_perp, seed=config.seed)
         rows += [["jmix_a", coeffs.a], ["jmix_b", coeffs.b],
                  ["jmix_c", coeffs.c], ["jmix_d", coeffs.d],

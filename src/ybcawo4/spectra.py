@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, spinham
 from .constants import CONSTANTS
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .params import Manifold, SpinSystemParams
 
 GROUND_GROUP_OF_LEVEL = {1: 0, 2: 1, 3: 1, 4: 2}
@@ -341,6 +341,24 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
 
 # --- EPR resonance-field search -----------------------------------------
 
+# Largest |E_j - E_i - nu| (GHz) of a returned resonance, checked on the
+# exact eigensystem at that field.
+EPR_RESIDUAL_BOUND_GHZ = 1e-6
+
+# Where in the field range the eigenfield problem is shifted to, as fractions
+# of the range; the second point is used when the first lies on a resonance.
+_EIGENFIELD_SHIFTS = (0.5, 0.381966)
+
+# An eigenfield root B counts as real when |Im B| <= this times |B - B_s|.
+# Over 2000 random orientations and frequencies (0-1000 mT) the real roots
+# had |Im B| < 3e-11 mT and the in-range complex roots a ratio above 3e-3;
+# rounding splits a double (tangent) root by about sqrt(machine epsilon).
+_REAL_ROOT_RTOL = 1e-6
+
+_EYE4 = np.eye(4)
+_UPPER_I, _UPPER_J = np.triu_indices(4, k=1)   # level pairs i < j, 0-based
+
+
 @dataclass(frozen=True)
 class EprResonance:
     field_mt: float
@@ -353,78 +371,125 @@ def _direction_from_angles(theta_deg: float, phi_deg: float) -> np.ndarray:
     return np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
 
 
-def _perpendicular_dipole_weight(params, manifold, eig, pair, direction):
-    """RMS ac-dipole magnitude over two orthogonal drive directions perp B."""
+def _drive_directions(direction: np.ndarray):
+    """Two orthonormal ac-field directions perpendicular to the static field."""
     ref = np.array([0.0, 0.0, 1.0])
     if abs(np.dot(ref, direction)) > 0.99:
         ref = np.array([1.0, 0.0, 0.0])
     e1 = np.cross(direction, ref)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(direction, e1)
-    i, j = pair
-    total = 0.0
-    for e_ac in (e1, e2):
-        amp = spinham.transition_magnetic_dipole(eig.state(i), eig.state(j), e_ac,
-                                                 params, manifold)
-        total += abs(amp) ** 2
-    return float(np.sqrt(total))
+    return e1, np.cross(direction, e1)
+
+
+def _liouvillian(h: np.ndarray) -> np.ndarray:
+    """L = H (x) 1 - 1 (x) H^T; its 16 eigenvalues are all the differences E_a - E_b.
+
+    L[(a, b), (c, d)] = H[a, c] 1[b, d] - 1[a, c] H[d, b], written as one
+    broadcast (np.kron costs more than the arithmetic at this size).
+    """
+    return (h[:, None, :, None] * _EYE4[None, :, None, :]
+            - _EYE4[:, None, :, None] * h.T[None, :, None, :]).reshape(16, 16)
+
+
+def _eigenfield_roots(h0: np.ndarray, h1: np.ndarray, nu: float,
+                      lo: float, hi: float) -> np.ndarray:
+    """Ascending real fields in [lo, hi] where some E_a - E_b of H0 + B H1 is nu.
+
+    det(L0 + B L1 - nu) = 0 is a generalized eigenproblem in B.  Shifted to
+    B_s it reads M x = mu x with M = (L0 + B_s L1 - nu)^-1 L1 and
+    B = B_s - 1/mu.  L0 + B_s L1 - nu is Hermitian with eigenvalues
+    E_a - E_b - nu at B_s, so it is singular exactly when B_s is a resonance.
+    """
+    for fraction in _EIGENFIELD_SHIFTS:
+        shift = lo + fraction * (hi - lo)
+        e = np.linalg.eigvalsh(h0 + shift * h1)
+        if np.min(np.abs(e[:, None] - e[None, :] - nu)) > EPR_RESIDUAL_BOUND_GHZ:
+            break
+    else:
+        raise NumericalError("every shift of the eigenfield problem lies on a "
+                             "resonance; cannot invert it")
+    l1 = _liouvillian(h1)
+    a = _liouvillian(h0) + shift * l1 - nu * np.eye(16)
+    mu = np.linalg.eigvals(np.linalg.solve(a, l1))
+    # |B - B_s| = 1/|mu| <= hi - lo for every field in range
+    mu = mu[np.abs(mu) * (hi - lo) >= 1.0]
+    mu = mu[np.abs(mu.imag) <= _REAL_ROOT_RTOL * np.abs(mu)]
+    fields = shift - (1.0 / mu).real
+    return np.sort(fields[(fields >= lo) & (fields <= hi)])
 
 
 def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
                          theta_deg: float, phi_deg: float = 0.0,
-                         b_range_mt=(1.0, 1000.0), samples: int | None = None,
-                         tol_mt: float = 1e-3,
+                         b_range_mt=(1.0, 1000.0), tol_mt: float = 1e-3,
                          manifold: Manifold = Manifold.GROUND) -> list[EprResonance]:
-    """Fields where a level-pair splitting crosses the microwave frequency.
+    """Fields where a level-pair splitting equals the microwave frequency.
 
-    Sign changes of (splitting - frequency) are bracketed on a dense field
-    scan (2000 samples per decade by default) and refined by bisection to
-    tol_mt.  Weights are ac magnetic dipole magnitudes perpendicular to the
-    static field.  An empty list means no resonance in range.
+    The field enters linearly, H(B) = H0 + B H1, so every resonance field
+    along the direction is a real eigenvalue of one 16x16 problem in
+    Liouville space, L = H (x) 1 - 1 (x) H^T (the eigenfield method of
+    Belford, Belford & Burkhalter, J. Magn. Reson. 11, 251 (1973)).  The
+    roots are exact to rounding; no field scan is made, so close crossings
+    of one pair are not missed.
+
+    Every real root in the range is checked on the exact eigensystem at that
+    field: its level pair (i, j) is the one with |E_j - E_i - nu| below
+    EPR_RESIDUAL_BOUND_GHZ (1e-6 GHz).  Roots that coincide (pairs 1-3 and
+    2-4 without hyperfine coupling) get distinct pairs.  Two roots of one
+    pair closer than tol_mt count as one root (a tangency).  A root that no
+    pair explains raises NumericalError.
+
+    Weights are ac magnetic dipole magnitudes, RMS over two drive directions
+    perpendicular to the static field.  Results are sorted by field; an
+    empty list means no resonance in range.
     """
     lo, hi = float(b_range_mt[0]), float(b_range_mt[1])
+    nu = float(microwave_freq_ghz)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("field range must be finite")
     if not (hi > lo >= 0.0):
         raise ValidationError("field range must satisfy 0 <= low < high")
-    if microwave_freq_ghz <= 0:
+    if not np.isfinite(nu):
+        raise ValidationError("microwave frequency must be finite")
+    if nu <= 0:
         raise ValidationError("microwave frequency must be positive")
+    if not (np.isfinite(theta_deg) and np.isfinite(phi_deg)):
+        raise ValidationError("field angles must be finite")
+    if not (np.isfinite(tol_mt) and tol_mt > 0):
+        raise ValidationError("tol_mt must be positive and finite")
     direction = _direction_from_angles(theta_deg, phi_deg)
-    if samples is None:
-        decades = np.log10(hi / max(lo, hi * 1e-3))
-        samples = int(2000 * max(1.0, decades))
-    scan = np.linspace(lo, hi, samples)
-    energies = spinham.manifold_energies(params, manifold,
-                                         scan[:, None] * direction[None, :])
+    h0 = spinham.build_hamiltonian(params, manifold, (0.0, 0.0, 0.0))
+    h1 = spinham.field_derivative_operator(params, manifold, direction) * 1e-3
+    fields = _eigenfield_roots(h0, h1, nu, lo, hi)
+    if fields.size == 0:
+        return []
 
-    def gap(i, j, b_mt):
-        e = spinham.manifold_energies(params, manifold, [b_mt * direction])[0]
-        return (e[j] - e[i]) - microwave_freq_ghz
+    energies, states = spinham.eigensystems(params, manifold,
+                                            fields[:, None] * direction)
+    residual = np.abs(energies[:, _UPPER_J] - energies[:, _UPPER_I] - nu)
+    rows, pairs = [], []
+    last_field = {}   # pair -> field of its latest accepted root
+    for r, b in enumerate(fields):
+        matching = [k for k in np.argsort(residual[r], kind="stable")
+                    if residual[r, k] <= EPR_RESIDUAL_BOUND_GHZ]
+        if not matching:
+            raise NumericalError(
+                f"eigenfield root at {b:.6f} mT misses the resonance condition "
+                f"by {residual[r].min():.3g} GHz")
+        free = [k for k in matching if b - last_field.get(k, -np.inf) > tol_mt]
+        if free:   # otherwise a root within tol_mt already carries each pair
+            rows.append(r)
+            pairs.append(free[0])
+            last_field[free[0]] = b
+    rows, pairs = np.array(rows), np.array(pairs)
 
-    found = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g = (energies[:, j] - energies[:, i]) - microwave_freq_ghz
-            crossings = np.nonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-                                   | (g[:-1] == 0.0))[0]
-            pair_fields = []
-            for k in crossings:
-                a, b = scan[k], scan[k + 1]
-                fa = g[k]
-                while b - a > tol_mt:
-                    mid = 0.5 * (a + b)
-                    fm = gap(i, j, mid)
-                    if fa * fm <= 0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                b_res = 0.5 * (a + b)
-                if pair_fields and abs(b_res - pair_fields[-1]) < 2 * tol_mt:
-                    continue  # the same root detected from both sides of a node
-                pair_fields.append(b_res)
-                eig = spinham.eigensystem(params, manifold, b_res * direction)
-                weight = _perpendicular_dipole_weight(params, manifold, eig,
-                                                      (i + 1, j + 1), direction)
-                found.append(EprResonance(b_res, (i + 1, j + 1), weight))
-    return sorted(found, key=lambda r: r.field_mt)
+    drive = np.stack([spinham.magnetic_dipole_operator(params, manifold, e)
+                      for e in _drive_directions(direction)])
+    amps = np.einsum("ra,kab,rb->rk", states[rows, :, _UPPER_I[pairs]].conj(),
+                     drive, states[rows, :, _UPPER_J[pairs]])
+    weights = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
+    found = [EprResonance(float(fields[r]), (int(_UPPER_I[k]) + 1, int(_UPPER_J[k]) + 1),
+                          float(w)) for r, k, w in zip(rows, pairs, weights)]
+    return sorted(found, key=lambda res: (res.field_mt, res.pair))
 
 
 def angular_rosette(params: SpinSystemParams, plane: str, angles_deg,

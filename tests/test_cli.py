@@ -175,6 +175,46 @@ class TestNegativeNumberListOptions:
         assert (spaced / product).read_bytes() == (joined / product).read_bytes()
 
 
+class TestMalformedOptionValues:
+    """A malformed value exits 1 with a named error line, not a traceback."""
+
+    CASES = [
+        (["spectrum", "--grid=-3,4,2.5"], "spectrum", "--grid"),
+        (["spectrum", "--grid", "-3,4"], "spectrum", "--grid"),
+        (["levels", "--field", "a,b,c"], "levels", "--field"),
+        (["levels", "--field", "1,2"], "levels", "--field"),
+        (["sweep", "--axis", "x,y,z"], "sweep", "--axis"),
+        (["sweep", "--axis", "0,0,0"], "sweep", "--axis"),
+        (["gfactor", "--coeffs", "0.7"], "gfactor", "--coeffs"),
+        (["gfactor", "--coeffs", "0.7,b"], "gfactor", "--coeffs"),
+        (["gfactor", "--jmix-targets", "1.2"], "gfactor", "--jmix-targets"),
+        (["gfactor", "--jmix-targets", "1.2,1.3,1.4"], "gfactor",
+         "--jmix-targets"),
+    ]
+
+    @pytest.mark.parametrize("argv,command,option", CASES,
+                             ids=[" ".join(c[0]) for c in CASES])
+    def test_named_error(self, tmp_path, capsys, argv, command, option):
+        assert run_cli("--out", tmp_path / "bad", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command}): {option} must be")
+        assert "Traceback" not in err
+
+    EPR_CASES = [
+        (["epr", "--freq-ghz", "nan"], "frequency must be finite"),
+        (["rosette", "--freq-ghz", "nan"], "frequency must be finite"),
+        (["epr", "--b-max", "inf"], "field range must be finite"),
+        (["epr", "--theta", "nan"], "angles must be finite"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", EPR_CASES,
+                             ids=[" ".join(c[0]) for c in EPR_CASES])
+    def test_non_finite_epr_input(self, tmp_path, capsys, argv, message):
+        assert run_cli("--out", tmp_path / "bad", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({argv[0]}): ") and message in err
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):

@@ -7,7 +7,7 @@ import pytest
 from ybcawo4 import spectra as sp
 from ybcawo4 import spinham
 from ybcawo4.constants import CONSTANTS
-from ybcawo4.errors import ValidationError
+from ybcawo4.errors import NumericalError, ValidationError
 from ybcawo4.params import Manifold, a_tensor, default_params
 
 PARAMS = default_params()
@@ -290,6 +290,199 @@ class TestSweepMapValidation:
         with pytest.raises(ValidationError, match="fwhm"):
             sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0, 10.0], (-1, 1, 100),
                                **fwhm)
+
+
+def _reference_perpendicular_dipole_weight(params, manifold, eig, pair, direction):
+    """RMS ac-dipole magnitude over two orthogonal drive directions perp B."""
+    ref = np.array([0.0, 0.0, 1.0])
+    if abs(np.dot(ref, direction)) > 0.99:
+        ref = np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(direction, ref)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(direction, e1)
+    i, j = pair
+    total = 0.0
+    for e_ac in (e1, e2):
+        amp = spinham.transition_magnetic_dipole(eig.state(i), eig.state(j), e_ac,
+                                                 params, manifold)
+        total += abs(amp) ** 2
+    return float(np.sqrt(total))
+
+
+def _reference_scan_resonances(params, microwave_freq_ghz, theta_deg,
+                               phi_deg=0.0, b_range_mt=(1.0, 1000.0),
+                               tol_mt=1e-3, manifold=Manifold.GROUND):
+    """The field scan plus bisection that epr_resonance_fields used to run.
+
+    Sign changes of (splitting - frequency) are bracketed on a scan of 2000
+    samples per decade and bisected to tol_mt; two crossings of one pair
+    inside one sample interval are missed.
+    """
+    lo, hi = float(b_range_mt[0]), float(b_range_mt[1])
+    direction = sp._direction_from_angles(theta_deg, phi_deg)
+    decades = np.log10(hi / max(lo, hi * 1e-3))
+    scan = np.linspace(lo, hi, int(2000 * max(1.0, decades)))
+    energies = spinham.manifold_energies(params, manifold,
+                                         scan[:, None] * direction[None, :])
+
+    def gap(i, j, b_mt):
+        e = spinham.manifold_energies(params, manifold, [b_mt * direction])[0]
+        return (e[j] - e[i]) - microwave_freq_ghz
+
+    found = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            g = (energies[:, j] - energies[:, i]) - microwave_freq_ghz
+            crossings = np.nonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+                                   | (g[:-1] == 0.0))[0]
+            pair_fields = []
+            for k in crossings:
+                a, b = scan[k], scan[k + 1]
+                fa = g[k]
+                while b - a > tol_mt:
+                    mid = 0.5 * (a + b)
+                    fm = gap(i, j, mid)
+                    if fa * fm <= 0:
+                        b = mid
+                    else:
+                        a, fa = mid, fm
+                b_res = 0.5 * (a + b)
+                if pair_fields and abs(b_res - pair_fields[-1]) < 2 * tol_mt:
+                    continue  # the same root detected from both sides of a node
+                pair_fields.append(b_res)
+                eig = spinham.eigensystem(params, manifold, b_res * direction)
+                weight = _reference_perpendicular_dipole_weight(
+                    params, manifold, eig, (i + 1, j + 1), direction)
+                found.append(sp.EprResonance(b_res, (i + 1, j + 1), weight))
+    return sorted(found, key=lambda r: r.field_mt)
+
+
+# bisection stops within tol_mt, so its midpoint is within tol_mt / 2 of the root
+_SCAN_FIELD_TOL_MT = 5e-4
+
+
+def _assert_matches_scan(got, ref, weight_rtol=1e-5):
+    assert [r.pair for r in sorted(got, key=lambda r: (r.pair, r.field_mt))] == \
+        [r.pair for r in sorted(ref, key=lambda r: (r.pair, r.field_mt))]
+    for g, r in zip(sorted(got, key=lambda r: (r.pair, r.field_mt)),
+                    sorted(ref, key=lambda r: (r.pair, r.field_mt))):
+        assert abs(g.field_mt - r.field_mt) <= _SCAN_FIELD_TOL_MT
+        assert g.weight == pytest.approx(r.weight, rel=weight_rtol, abs=1e-9)
+
+
+def _assert_on_resonance(resonances, params, nu, theta, phi=0.0,
+                         manifold=Manifold.GROUND):
+    direction = sp._direction_from_angles(theta, phi)
+    for res in resonances:
+        e = spinham.manifold_energies(params, manifold,
+                                      [res.field_mt * direction])[0]
+        i, j = res.pair
+        assert abs(e[j - 1] - e[i - 1] - nu) <= sp.EPR_RESIDUAL_BOUND_GHZ
+
+
+class TestEigenfieldAgainstScan:
+    """The eigenfield solver against the scan-and-bisect reference above."""
+
+    @pytest.mark.parametrize("nu", [9.0, 9.4, 9.8])
+    @pytest.mark.parametrize("plane", ["c-a", "a-b"])
+    def test_rosette_planes(self, plane, nu):
+        for angle in np.linspace(0.0, 180.0, 19):
+            theta, phi = (angle, 0.0) if plane == "c-a" else (90.0, angle)
+            got = sp.epr_resonance_fields(PARAMS, nu, theta, phi, (10.0, 900.0))
+            ref = _reference_scan_resonances(PARAMS, nu, theta, phi, (10.0, 900.0))
+            assert got
+            _assert_matches_scan(got, ref)
+            _assert_on_resonance(got, PARAMS, nu, theta, phi)
+
+    def test_coincident_roots_get_both_pairs(self):
+        p0 = replace(PARAMS, a_ground=a_tensor(0.0, 0.0))
+        got = sp.epr_resonance_fields(p0, 9.4, 90.0, b_range_mt=(100, 400))
+        ref = _reference_scan_resonances(p0, 9.4, 90.0, b_range_mt=(100, 400))
+        electron = [r for r in got if r.weight > 0.1]
+        assert sorted(r.pair for r in electron) == [(1, 3), (2, 4)]
+        assert abs(electron[0].field_mt - electron[1].field_mt) < 1e-9
+        _assert_matches_scan(got, ref)
+        _assert_on_resonance(got, p0, 9.4, 90.0)
+
+    @pytest.mark.parametrize("nu", [1.14641, 3.08187])
+    def test_zero_field_gap_frequencies(self, nu):
+        # an unshifted pencil (L0 - nu)^-1 L1 is singular at these frequencies
+        got = sp.epr_resonance_fields(PARAMS, nu, 45.0, b_range_mt=(10.0, 900.0))
+        ref = _reference_scan_resonances(PARAMS, nu, 45.0, b_range_mt=(10.0, 900.0))
+        assert got
+        _assert_matches_scan(got, ref)
+        _assert_on_resonance(got, PARAMS, nu, 45.0)
+
+    def test_close_pair_the_scan_misses(self):
+        nu = 1.0891768755708135
+        got = sp.epr_resonance_fields(PARAMS, nu, 30.0, b_range_mt=(20.70, 900))
+        ref = _reference_scan_resonances(PARAMS, nu, 30.0, b_range_mt=(20.70, 900))
+        assert [r.pair for r in ref] == [(2, 3)]
+        assert [r.pair for r in got] == [(1, 2), (1, 2), (2, 3)]
+        assert got[0].field_mt == pytest.approx(20.7012, abs=1e-4)
+        assert got[1].field_mt == pytest.approx(20.7087, abs=1e-4)
+        # a scan that starts lower does bracket both crossings
+        wide = _reference_scan_resonances(PARAMS, nu, 30.0, b_range_mt=(10, 900))
+        _assert_matches_scan(got, [r for r in wide if r.field_mt >= 20.70])
+        _assert_on_resonance(got, PARAMS, nu, 30.0)
+
+    def test_excited_manifold(self):
+        got = sp.epr_resonance_fields(PARAMS, 9.4, 60.0, 20.0, (10.0, 900.0),
+                                      manifold=Manifold.EXCITED)
+        ref = _reference_scan_resonances(PARAMS, 9.4, 60.0, 20.0, (10.0, 900.0),
+                                         manifold=Manifold.EXCITED)
+        assert got
+        _assert_matches_scan(got, ref)
+        _assert_on_resonance(got, PARAMS, 9.4, 60.0, 20.0, Manifold.EXCITED)
+
+    def test_second_shift_when_the_first_is_a_resonance(self):
+        lo, hi = 10.0, 900.0
+        direction = sp._direction_from_angles(60.0, 0.0)
+        e = spinham.manifold_energies(PARAMS, Manifold.GROUND,
+                                      [0.5 * (lo + hi) * direction])[0]
+        nu = e[3] - e[0]
+        got = sp.epr_resonance_fields(PARAMS, nu, 60.0, b_range_mt=(lo, hi))
+        ref = _reference_scan_resonances(PARAMS, nu, 60.0, b_range_mt=(lo, hi))
+        assert any(abs(r.field_mt - 0.5 * (lo + hi)) < 1e-6 for r in got)
+        _assert_matches_scan(got, ref)
+        _assert_on_resonance(got, PARAMS, nu, 60.0)
+
+    def test_no_usable_shift_raises(self, monkeypatch):
+        direction = sp._direction_from_angles(60.0, 0.0)
+        e = spinham.manifold_energies(PARAMS, Manifold.GROUND,
+                                      [455.0 * direction])[0]
+        monkeypatch.setattr(sp, "_EIGENFIELD_SHIFTS", (0.5, 0.5))
+        with pytest.raises(NumericalError, match="shift"):
+            sp.epr_resonance_fields(PARAMS, e[3] - e[0], 60.0,
+                                    b_range_mt=(10.0, 900.0))
+
+
+class TestEprInputValidation:
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency(self, nu):
+        with pytest.raises(ValidationError, match="frequency must be finite"):
+            sp.epr_resonance_fields(PARAMS, nu, 90.0)
+
+    @pytest.mark.parametrize("b_range", [(10.0, np.inf), (np.nan, 900.0),
+                                         (10.0, np.nan), (-np.inf, 900.0)])
+    def test_non_finite_field_range(self, b_range):
+        with pytest.raises(ValidationError, match="field range must be finite"):
+            sp.epr_resonance_fields(PARAMS, 9.4, 90.0, b_range_mt=b_range)
+
+    @pytest.mark.parametrize("angles", [(np.nan, 0.0), (90.0, np.inf),
+                                        (-np.inf, 0.0)])
+    def test_non_finite_angle(self, angles):
+        with pytest.raises(ValidationError, match="angles must be finite"):
+            sp.epr_resonance_fields(PARAMS, 9.4, *angles)
+
+    def test_non_finite_rosette_angle(self):
+        with pytest.raises(ValidationError, match="angles must be finite"):
+            sp.angular_rosette(PARAMS, "c-a", [0.0, np.nan], 9.4)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ValidationError, match="tol_mt"):
+            sp.epr_resonance_fields(PARAMS, 9.4, 90.0, tol_mt=tol)
 
 
 class TestEprSearch:
