@@ -270,6 +270,12 @@ def _cmd_epr(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_rosette(config: RunConfig, args) -> list[Path]:
+    for option, value in (("--angle-start", args.angle_start),
+                          ("--angle-stop", args.angle_stop)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{option} must be finite")
+    if args.angle_steps < 2:
+        raise ValidationError("--angle-steps must be at least 2")
     angles = np.linspace(args.angle_start, args.angle_stop, args.angle_steps)
     rosette = spectra.angular_rosette(config.params, args.plane, angles,
                                       args.freq_ghz,

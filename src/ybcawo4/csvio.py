@@ -98,45 +98,67 @@ SCHEMAS = {
 }
 
 
+def _parse_rows(path, rows, columns, indices) -> np.ndarray:
+    """Cell-by-cell parse of the body rows (the header is row 1); names the
+    first row and column that do not hold a number."""
+    values = []
+    for row_number, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        for column, idx in zip(columns, indices):
+            try:
+                values.append(float(row[idx]))
+            except (ValueError, IndexError):
+                raise ValidationError(
+                    f"{path}:{row_number}: non-numeric value in "
+                    f"column {column!r}") from None
+    return np.asarray(values, dtype=float).reshape(-1, len(columns))
+
+
 def read_measurement_csv(path, schema: str) -> dict[str, np.ndarray]:
     """Validated numeric dataset for one of the documented schemas.
 
     The header must contain the schema's columns (extras are tolerated with
     a warning); the primary axis must increase strictly.  For the long-form
-    sweep schema the detuning must increase within each field block.
+    sweep schema the detuning must increase within each field block.  The
+    body is parsed in one block; only a body that block parse rejects (a
+    bad cell, a short row, a row of empty cells) is read again cell by cell,
+    which skips blank rows and names the first bad row and column.
     """
     if schema not in SCHEMAS:
         raise ValidationError(f"unknown schema {schema!r}; "
                               f"choose from {sorted(SCHEMAS)}")
     spec = SCHEMAS[schema]
+    columns = spec["columns"]
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in spec["columns"] if c not in header]
+    try:
+        handle = path.open(newline="")
+    except OSError as err:
+        raise ValidationError(f"{path}: {err.strerror}") from None
+    with handle:
+        first = handle.readline()
+        if not first:
+            raise ValidationError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([first]), [])]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValidationError(f"{path}: missing column(s) {missing}")
-        extra = [c for c in header if c not in spec["columns"]]
+        extra = [c for c in header if c not in columns]
         if extra:
             warnings.warn(f"{path}: ignoring unknown column(s) {extra}",
                           stacklevel=2)
-        indices = {c: header.index(c) for c in spec["columns"]}
-        data = {c: [] for c in spec["columns"]}
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            for column, idx in indices.items():
-                try:
-                    data[column].append(float(row[idx]))
-                except (ValueError, IndexError):
-                    raise ValidationError(
-                        f"{path}:{row_number}: non-numeric value in "
-                        f"column {column!r}") from None
-    arrays = {c: np.asarray(v, dtype=float) for c, v in data.items()}
+        indices = [header.index(c) for c in columns]
+        body_start = handle.tell()
+        try:
+            with warnings.catch_warnings():
+                # a body of blank rows is an empty dataset, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                block = np.loadtxt(handle, delimiter=",", comments=None,
+                                   usecols=indices, ndmin=2)
+        except ValueError:
+            handle.seek(body_start)
+            block = _parse_rows(path, csv.reader(handle), columns, indices)
+    arrays = dict(zip(columns, np.ascontiguousarray(block.T)))
     axis = spec["axis"]
     if axis is not None:
         values = arrays[axis]

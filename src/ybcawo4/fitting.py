@@ -58,6 +58,37 @@ def _forward_jacobian(model, params, f0):
     return jac
 
 
+# A parameter is unidentifiable when more than this share of its unit
+# vector's squared length lies in the numerical null space of J.
+_NULL_SHARE = 1e-6
+
+
+def _svd_uncertainties(jac, sigma_sq):
+    """Standard errors from the SVD of the column-scaled Jacobian.
+
+    Columns are scaled to unit norm so the rank decision does not depend on
+    parameter units.  The singular values and right vectors are those of the
+    p x p factor R of J = QR, which keeps the working set at one copy of J.
+    Singular values at or below s_max * max(n, p) * eps (numpy's
+    matrix_rank bound) span the numerical null space.  Returns the
+    uncertainties, infinite for parameters in the null space, and the mask
+    of those parameters.  Raises LinAlgError if a factorization fails.
+    """
+    r = np.linalg.qr(jac, mode="r")
+    norms = np.linalg.norm(r, axis=0)
+    _, found, vt = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0))
+    sing = np.zeros(vt.shape[0])     # fewer rows than parameters: zeros
+    sing[:found.size] = found
+    bound = sing[0] * max(jac.shape) * np.finfo(float).eps
+    kept = sing > bound
+    null = np.sum(vt[~kept] ** 2, axis=0) > _NULL_SHARE
+    variance = np.sum((vt[kept] / sing[kept, None]) ** 2, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uncertainties = np.sqrt(sigma_sq * variance) / norms
+    uncertainties[null] = np.inf
+    return uncertainties, null
+
+
 def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
                   max_iter: int = 200, jacobian=None,
                   names: tuple | None = None) -> FitResult:
@@ -66,8 +97,11 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     model(params) returns the prediction compared against `data`; the
     residual is model(params) - data.  The damping parameter grows until a
     step reduces the cost, so accepted iterations are monotone in the
-    residual norm.  Covariance comes from (J^T J)^-1 at the optimum scaled
-    by the residual variance.
+    residual norm.  Covariance comes from the SVD of J at the optimum
+    (see _svd_uncertainties), scaled by the residual variance.  A Jacobian
+    with a numerical null space is flagged "singular jacobian", each
+    parameter in that null space "<name> unidentifiable" with an infinite
+    uncertainty, and the fit does not count as converged.
     """
     params = np.asarray(initial, dtype=float).copy()
     data = np.asarray(data, dtype=float)
@@ -89,7 +123,6 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     history = [cost]
     lam = 1e-3
     converged = False
-    flags = []
     iterations = 0
     singular = False
     for iterations in range(1, max_iter + 1):
@@ -132,21 +165,18 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
         if singular or not stepped or converged:
             break
 
-    if singular:
-        flags.append("singular jacobian")
-        converged = False
-
     jac = (np.asarray(jacobian(params), dtype=float) if jacobian is not None
            else _forward_jacobian(lambda q: evaluate(q) + data, params,
                                   residual + data))
     dof = max(data.size - params.size, 1)
-    sigma_sq = cost / dof
     try:
-        covariance = sigma_sq * np.linalg.inv(jac.T @ jac)
-        uncertainties = np.sqrt(np.clip(np.diag(covariance), 0.0, np.inf))
+        uncertainties, null = _svd_uncertainties(jac, cost / dof)
     except np.linalg.LinAlgError:
-        uncertainties = np.full(params.size, np.inf)
-        flags.append("singular jacobian")
+        uncertainties, null = np.full(params.size, np.inf), np.zeros(params.size, bool)
+        singular = True
+    flags = [f"{name} unidentifiable" for name, flagged in zip(names, null) if flagged]
+    if singular or flags:
+        flags.insert(0, "singular jacobian")
         converged = False
     return FitResult(tuple(names), params, uncertainties, math.sqrt(cost),
                      iterations, converged, history, tuple(flags))
@@ -301,8 +331,10 @@ def fit_slr_recovery(delays_s, populations, energies_ghz,
     spread = pops.std(axis=0)
     for k, name in enumerate(("t_r_1", "t_r_23", "t_r_4")):
         amplitude = abs(result[f"n0_{('1', '23', '4')[k]}"] - eq[k])
-        if amplitude < max(3.0 * spread[k] / math.sqrt(delays.size), 1e-4):
-            result.flags = result.flags + (f"{name} unidentifiable",)
+        flag = f"{name} unidentifiable"
+        if (amplitude < max(3.0 * spread[k] / math.sqrt(delays.size), 1e-4)
+                and flag not in result.flags):
+            result.flags = result.flags + (flag,)
     return result
 
 
@@ -341,52 +373,142 @@ class FieldSweepFitSpec:
     fwhm_i0_mhz: float = 153.0
 
 
-def _sweep_prediction(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
-                      p_vector) -> np.ndarray:
-    """Stacked model spectra for all sweeps; equal line strengths.
+# Lines x grid cells per Gaussian pass of the sweep model (at least one
+# current per pass), so its temporaries stay small whatever the sweep size.
+_BLOCK_CELLS = 1 << 13
 
-    The spin Hamiltonian here drops the nuclear Zeeman term, the convention
-    used when fitting field sweeps.
+
+def _expectations(states, operators) -> np.ndarray:
+    """<k|O|k> (n, 4) for eigenvector columns k of each stacked state matrix."""
+    return np.einsum("nak,nab,nbk->nk", states.conj(), operators, states).real
+
+
+def _sweep_lines(sweep, params: SpinSystemParams, g_par_e, g_perp_e, scale,
+                 derivatives: bool):
+    """Line centres (n_currents, 20) of one sweep before the offset and, if
+    asked, their derivatives (n_currents, 20, 3) with respect to g_par_e,
+    g_perp_e and the sweep's scale.
+
+    Columns 0-15 are the 171Yb lines e_e[j] - e_g[i] (column 4 i + j), 16-19
+    the I = 0 lines.  The field is B = 0.1 scale I (mT) along the axis, and
+    every Zeeman term is linear in B and in the g values, so Hellmann-Feynman
+    gives each 171Yb derivative as an expectation value <k|dH/dtheta|k>.
+    All sixteen 171Yb lines carry one weight, so their summed profile stays
+    differentiable where levels cross, whichever eigenvectors eigh returns.
+    """
+    mu = CONSTANTS.mu_b_ghz_per_t
+    a_g, a_e, g_g = params.a_ground, params.a_excited, params.g_ground
+    fields_t = (0.1 * scale * sweep.currents_a)[:, None] * 1e-3 \
+        * sweep.axis[None, :]
+    e_g, v_g = np.linalg.eigh(_kernels.build_hamiltonians(
+        a_g.parallel, a_g.perpendicular, g_g.parallel * mu,
+        g_g.perpendicular * mu, 0.0, fields_t))
+    e_e, v_e = np.linalg.eigh(_kernels.build_hamiltonians(
+        a_e.parallel, a_e.perpendicular, g_par_e * mu, g_perp_e * mu, 0.0,
+        fields_t))
+    n = sweep.currents_a.size
+    d = sweep.axis
+    transverse = d[0] ** 2 + d[1] ** 2
+    g_eff_g = math.sqrt((g_g.parallel * d[2]) ** 2
+                        + g_g.perpendicular ** 2 * transverse)
+    g_eff_e = math.sqrt((g_par_e * d[2]) ** 2 + g_perp_e ** 2 * transverse)
+    b_mags_t = 0.1 * scale * sweep.currents_a * 1e-3
+    split_g = g_eff_g * mu * b_mags_t
+    split_e = g_eff_e * mu * b_mags_t
+    sign_g = np.array([-1.0, -1.0, 1.0, 1.0])
+    sign_e = np.array([-1.0, 1.0, -1.0, 1.0])
+    centres = np.empty((n, 20))
+    centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
+    centres[:, 16:] = (sign_e * split_e[:, None] - sign_g * split_g[:, None]) / 2.0
+    if not derivatives:
+        return centres, None
+
+    # dB/dscale in tesla; dH_e/dg_par and dH_e/dg_perp are linear in B
+    b_unit_t = 1e-4 * sweep.currents_a
+    unit_fields = b_unit_t[:, None] * d[None, :]
+    par_e = _expectations(v_e, _kernels.build_hamiltonians(
+        0.0, 0.0, mu, 0.0, 0.0, unit_fields))
+    perp_e = _expectations(v_e, _kernels.build_hamiltonians(
+        0.0, 0.0, 0.0, mu, 0.0, unit_fields))
+    zeeman_g = _expectations(v_g, _kernels.build_hamiltonians(
+        0.0, 0.0, g_g.parallel * mu, g_g.perpendicular * mu, 0.0, unit_fields))
+    de_e = np.stack([scale * par_e, scale * perp_e,
+                     g_par_e * par_e + g_perp_e * perp_e], axis=-1)
+    de_g = np.zeros((n, 4, 3))
+    de_g[:, :, 2] = zeeman_g
+    slopes = np.empty((n, 20, 3))
+    slopes[:, :16] = (de_e[:, None, :, :] - de_g[:, :, None, :]).reshape(n, 16, 3)
+    # I = 0 lines: split = g_eff mu B with g_eff = |g . axis|
+    dsplit_e = np.zeros((n, 3))
+    if g_eff_e > 0.0:   # at g_eff_e = 0 the symmetric pair has zero slope
+        dsplit_e[:, 0] = mu * b_mags_t * g_par_e * d[2] ** 2 / g_eff_e
+        dsplit_e[:, 1] = mu * b_mags_t * g_perp_e * transverse / g_eff_e
+    dsplit_e[:, 2] = g_eff_e * mu * b_unit_t
+    dsplit_g = np.zeros((n, 3))
+    dsplit_g[:, 2] = g_eff_g * mu * b_unit_t
+    slopes[:, 16:] = (sign_e[None, :, None] * dsplit_e[:, None, :]
+                      - sign_g[None, :, None] * dsplit_g[:, None, :]) / 2.0
+    return centres, slopes
+
+
+def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
+                 p_vector, jacobian: bool = False) -> np.ndarray:
+    """Stacked model spectra of all sweeps, or their exact Jacobian.
+
+    Every line has unit area; the sixteen 171Yb lines share the weight
+    amplitude_171 and the four I = 0 lines amplitude_i0 / 4.  The spin
+    Hamiltonian drops the nuclear Zeeman term, the convention used when
+    fitting field sweeps.  With jacobian=True the result is the
+    (n_points, n_params) Jacobian: the amplitude and offset columns come
+    from the same Gaussian block as the model, and the g and scale columns
+    are the centre derivatives of _sweep_lines chained through d/dcentre.
+    The output is allocated once and filled in passes of at most
+    _BLOCK_CELLS line-grid cells (one current at least).
     """
     n_sweeps = len(sweeps)
     g_par_e, g_perp_e = p_vector[0], p_vector[1]
     scales = p_vector[2:2 + n_sweeps]
-    amp171, amp_i0, offset = p_vector[2 + n_sweeps:5 + n_sweeps]
-    a_g = params.a_ground
-    a_e = params.a_excited
-    mu = CONSTANTS.mu_b_ghz_per_t
-    blocks = []
-    for sweep, scale in zip(sweeps, scales):
-        fields_t = (0.1 * scale * sweep.currents_a)[:, None] * 1e-3 \
-            * sweep.axis[None, :]
-        e_g = _kernels.manifold_energies(
-            a_g.parallel, a_g.perpendicular,
-            params.g_ground.parallel * mu, params.g_ground.perpendicular * mu,
-            0.0, fields_t)
-        e_e = _kernels.manifold_energies(
-            a_e.parallel, a_e.perpendicular, g_par_e * mu, g_perp_e * mu,
-            0.0, fields_t)
-        d = sweep.axis
-        g_eff_g = math.sqrt((params.g_ground.parallel * d[2]) ** 2
-                            + params.g_ground.perpendicular**2 * (d[0]**2 + d[1]**2))
-        g_eff_e = math.sqrt((g_par_e * d[2]) ** 2
-                            + abs(g_perp_e) ** 2 * (d[0]**2 + d[1]**2))
-        b_mags_t = 0.1 * scale * sweep.currents_a * 1e-3
-        for k in range(sweep.currents_a.size):
-            detunings = (e_e[k][None, :] - e_g[k][:, None]).ravel() + offset
-            weights = np.full(16, amp171)
-            split_g = g_eff_g * mu * b_mags_t[k]
-            split_e = g_eff_e * mu * b_mags_t[k]
-            i0_centers = np.array([(se - sg) / 2.0 + offset
-                                   for sg in (-split_g, split_g)
-                                   for se in (-split_e, split_e)])
-            y = _kernels.gaussian_profile(sweep.detuning_ghz, detunings, weights,
-                                          spec.fwhm_171_mhz * 1e-3)
-            y = y + _kernels.gaussian_profile(sweep.detuning_ghz, i0_centers,
-                                              np.full(4, amp_i0 / 4.0),
-                                              spec.fwhm_i0_mhz * 1e-3)
-            blocks.append(y)
-    return np.concatenate(blocks)
+    amplitudes = p_vector[2 + n_sweeps:4 + n_sweeps]
+    offset = p_vector[4 + n_sweeps]
+    i_amp, i_offset = 2 + n_sweeps, 4 + n_sweeps
+    fwhm = np.repeat([spec.fwhm_171_mhz * 1e-3, spec.fwhm_i0_mhz * 1e-3], [16, 4])
+    inv = 4.0 * math.log(2.0) / (fwhm * fwhm)
+    area = 2.0 / fwhm * math.sqrt(math.log(2.0) / math.pi)
+    # per-line weight of each amplitude: unit-area Gaussians, I = 0 split 4 ways
+    line_amps = np.zeros((2, 20))
+    line_amps[0, :16] = area[:16]
+    line_amps[1, 16:] = area[16:] / 4.0
+    weights = amplitudes @ line_amps
+    total = sum(sweep.absorption.size for sweep in sweeps)
+    out = np.zeros((p_vector.size, total)) if jacobian else np.empty(total)
+    start = 0
+    for s, (sweep, scale) in enumerate(zip(sweeps, scales)):
+        x = sweep.detuning_ghz
+        n, m = sweep.absorption.shape
+        centres, slopes = _sweep_lines(sweep, params, g_par_e, g_perp_e, scale,
+                                       jacobian)
+        centres += offset
+        step = max(1, _BLOCK_CELLS // (20 * m))
+        for k in range(0, n, step):
+            block = slice(k, min(k + step, n))
+            cells = slice(start + block.start * m, start + block.stop * m)
+            u = x - centres[block, :, None]
+            core = np.exp(-inv[:, None] * u * u)
+            per_amp = line_amps @ core              # (b, 2, m)
+            if not jacobian:
+                out[cells] = (amplitudes @ per_amp).ravel()
+                continue
+            # d(model)/d(centre) of each line
+            d_centre = (2.0 * weights * inv)[:, None] * u * core
+            g_cols = slopes[block].transpose(0, 2, 1) @ d_centre
+            out[0, cells] = g_cols[:, 0].ravel()
+            out[1, cells] = g_cols[:, 1].ravel()
+            out[2 + s, cells] = g_cols[:, 2].ravel()
+            out[i_amp, cells] = per_amp[:, 0].ravel()
+            out[i_amp + 1, cells] = per_amp[:, 1].ravel()
+            out[i_offset, cells] = d_centre.sum(axis=1).ravel()
+        start += n * m
+    return out.T if jacobian else out
 
 
 def simulate_current_sweep(params: SpinSystemParams, axis, currents_a,
@@ -407,7 +529,7 @@ def simulate_current_sweep(params: SpinSystemParams, axis, currents_a,
     sweep = SweepData(currents, axis, x, np.zeros((currents.size, x.size)))
     p_vector = np.array([params.g_excited.parallel, params.g_excited.perpendicular,
                          scale_g_per_a, amplitude_171, amplitude_i0, offset_ghz])
-    prediction = _sweep_prediction([sweep], params, spec, p_vector)
+    prediction = _sweep_model([sweep], params, spec, p_vector)
     return SweepData(currents, axis, x,
                      prediction.reshape(currents.size, x.size))
 
@@ -438,8 +560,10 @@ def fit_field_sweep(sweeps, spec: FieldSweepFitSpec,
     names = (["g_e_parallel", "g_e_perpendicular"]
              + [f"scale_{k}" for k in range(len(sweeps))]
              + ["amplitude_171", "amplitude_i0", "offset_ghz"])
-    return least_squares(lambda p: _sweep_prediction(sweeps, params, spec, p),
-                         data, initial, names=tuple(names), tol=1e-12)
+    return least_squares(
+        lambda p: _sweep_model(sweeps, params, spec, p), data, initial,
+        jacobian=lambda p: _sweep_model(sweeps, params, spec, p, jacobian=True),
+        names=tuple(names), tol=1e-12)
 
 
 # --- photometric quantities ------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,9 @@ class TestMalformedOptionValues:
         (["gfactor", "--coeffs", "0.7"], "gfactor", "--coeffs"),
         (["gfactor", "--coeffs", "0.7,b"], "gfactor", "--coeffs"),
         (["gfactor", "--jmix-targets", "1.2"], "gfactor", "--jmix-targets"),
+        (["rosette", "--angle-stop", "inf"], "rosette", "--angle-stop"),
+        (["rosette", "--angle-start", "nan"], "rosette", "--angle-start"),
+        (["rosette", "--angle-steps", "-1"], "rosette", "--angle-steps"),
         (["gfactor", "--jmix-targets", "1.2,1.3,1.4"], "gfactor",
          "--jmix-targets"),
     ]
@@ -213,6 +220,25 @@ class TestMalformedOptionValues:
         assert run_cli("--out", tmp_path / "bad", *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error ({argv[0]}): ") and message in err
+
+    def test_infinite_angle_range_prints_no_warning(self, tmp_path):
+        # numpy warnings bypass capsys under pytest, so run a real process
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ybcawo4.cli", "--out", str(tmp_path / "bad"),
+             "rosette", "--angle-stop", "inf"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "error (rosette): --angle-stop must be finite\n"
+
+    def test_missing_data_file_is_a_named_error(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path / "fit", "fit", "--model", "sweep",
+                       "--data", tmp_path / "missing.csv", "--axis", "a") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (fit): ") and "missing.csv" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -77,3 +77,75 @@ def test_sweep_long_rejects_mismatched_block(tmp_path):
     with pytest.raises(ValidationError):
         csvio.write_sweep_long(tmp_path / "bad.csv", [1.0, 2.0], [0.0, 1.0, 2.0],
                                np.zeros((3, 2)))
+
+
+def _cell_by_cell(path, columns):
+    """Reference parse: float() of each named cell, blank rows skipped."""
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    index = [rows[0].index(c) for c in columns]
+    body = [r for r in rows[1:] if any(cell.strip() for cell in r)]
+    return {c: np.array([float(r[i]) for r in body]) for c, i in zip(columns, index)}
+
+
+def test_reader_block_parse_equals_cell_parse(tmp_path):
+    rng = np.random.default_rng(4)
+    fields = np.repeat(np.linspace(0.5, 10.0, 5), 40)
+    detuning = np.tile(np.linspace(-4.5, 5.0, 40), 5)
+    values = rng.normal(0.0, 3.0, fields.size) * 10.0 ** rng.integers(-300, 300, fields.size)
+    path = tmp_path / "sweep.csv"
+    csvio.write_rows(path, ["field_mT", "detuning_GHz", "absorption"],
+                     zip(fields, detuning, values))
+    got = csvio.read_measurement_csv(path, "sweep")
+    expected = _cell_by_cell(path, ("field_mT", "detuning_GHz", "absorption"))
+    for column, array in expected.items():
+        assert np.array_equal(got[column], array)
+
+
+def test_reader_skips_blank_rows(tmp_path):
+    path = tmp_path / "decay.csv"
+    path.write_text("tau_s,intensity\n\n0.0,1.0\n  \n,\n0.1,0.8\n\n")
+    data = csvio.read_measurement_csv(path, "decay")
+    assert np.array_equal(data["tau_s"], [0.0, 0.1])
+    assert np.array_equal(data["intensity"], [1.0, 0.8])
+
+
+def test_reader_names_row_after_blank_rows(tmp_path):
+    path = tmp_path / "decay.csv"
+    path.write_text("tau_s,intensity\n0.0,1.0\n\n0.1,0.8\n0.2,x\n")
+    with pytest.raises(ValidationError,
+                       match=r"decay\.csv:5: non-numeric value in column 'intensity'"):
+        csvio.read_measurement_csv(path, "decay")
+
+
+def test_reader_names_short_row(tmp_path):
+    path = tmp_path / "recovery.csv"
+    path.write_text("delay_s,n1g,n23g,n4g\n1,0.9,0.05,0.05\n2,0.8\n")
+    with pytest.raises(ValidationError,
+                       match=r"recovery\.csv:3: non-numeric value in column 'n23g'"):
+        csvio.read_measurement_csv(path, "recovery")
+
+
+def test_reader_extra_column_warns_and_is_ignored(tmp_path):
+    path = tmp_path / "spectrum.csv"
+    path.write_text("note,detuning_GHz,absorption\nfirst,-1.0,0.5\n,0.0,1.5\n")
+    with pytest.warns(UserWarning, match=r"ignoring unknown column\(s\) \['note'\]"):
+        data = csvio.read_measurement_csv(path, "spectrum")
+    assert np.array_equal(data["detuning_GHz"], [-1.0, 0.0])
+    assert np.array_equal(data["absorption"], [0.5, 1.5])
+
+
+def test_reader_header_only_gives_empty_columns(tmp_path):
+    path = tmp_path / "decay.csv"
+    path.write_text("tau_s,intensity\n\n")
+    data = csvio.read_measurement_csv(path, "decay")
+    assert data["tau_s"].shape == (0,) and data["intensity"].shape == (0,)
+
+
+def test_reader_empty_and_missing_files_rejected(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValidationError, match="empty file"):
+        csvio.read_measurement_csv(empty, "decay")
+    with pytest.raises(ValidationError, match="No such file"):
+        csvio.read_measurement_csv(tmp_path / "absent.csv", "decay")

@@ -368,3 +368,187 @@ class TestRoundTripIdentifiability:
         assert abs(recovery["t_eq"] / 0.2 - 1) < 1e-4
         for k, name in enumerate(("t_r_1", "t_r_23", "t_r_4")):
             assert abs(recovery[name] / truth[2 + 2 * k] - 1) < 1e-3
+
+
+# --- batched sweep model against the per-current reference -----------------
+
+def _reference_sweep_prediction(sweeps, params, spec, p_vector):
+    """The sweep model as one eigvalsh and two Gaussian calls per current:
+    the loop the batched ft._sweep_model replaced, kept as its reference."""
+    from ybcawo4 import _kernels
+    from ybcawo4.constants import CONSTANTS
+
+    n_sweeps = len(sweeps)
+    g_par_e, g_perp_e = p_vector[0], p_vector[1]
+    scales = p_vector[2:2 + n_sweeps]
+    amp171, amp_i0, offset = p_vector[2 + n_sweeps:5 + n_sweeps]
+    a_g = params.a_ground
+    a_e = params.a_excited
+    mu = CONSTANTS.mu_b_ghz_per_t
+    blocks = []
+    for sweep, scale in zip(sweeps, scales):
+        fields_t = (0.1 * scale * sweep.currents_a)[:, None] * 1e-3 \
+            * sweep.axis[None, :]
+        e_g = _kernels.manifold_energies(
+            a_g.parallel, a_g.perpendicular,
+            params.g_ground.parallel * mu, params.g_ground.perpendicular * mu,
+            0.0, fields_t)
+        e_e = _kernels.manifold_energies(
+            a_e.parallel, a_e.perpendicular, g_par_e * mu, g_perp_e * mu,
+            0.0, fields_t)
+        d = sweep.axis
+        g_eff_g = np.sqrt((params.g_ground.parallel * d[2]) ** 2
+                          + params.g_ground.perpendicular**2 * (d[0]**2 + d[1]**2))
+        g_eff_e = np.sqrt((g_par_e * d[2]) ** 2
+                          + abs(g_perp_e) ** 2 * (d[0]**2 + d[1]**2))
+        b_mags_t = 0.1 * scale * sweep.currents_a * 1e-3
+        for k in range(sweep.currents_a.size):
+            detunings = (e_e[k][None, :] - e_g[k][:, None]).ravel() + offset
+            split_g = g_eff_g * mu * b_mags_t[k]
+            split_e = g_eff_e * mu * b_mags_t[k]
+            i0_centers = np.array([(se - sg) / 2.0 + offset
+                                   for sg in (-split_g, split_g)
+                                   for se in (-split_e, split_e)])
+            y = _kernels.gaussian_profile(sweep.detuning_ghz, detunings,
+                                          np.full(16, amp171),
+                                          spec.fwhm_171_mhz * 1e-3)
+            y = y + _kernels.gaussian_profile(sweep.detuning_ghz, i0_centers,
+                                              np.full(4, amp_i0 / 4.0),
+                                              spec.fwhm_i0_mhz * 1e-3)
+            blocks.append(y)
+    return np.concatenate(blocks)
+
+
+SWEEP_AXES = {"a": (1.0, 0.0, 0.0), "c": (0.0, 0.0, 1.0),
+              "oblique": (0.6, 0.3, 0.742)}
+# along c, two excited-manifold levels cross near 0.47955 A at 150 G/A
+CROSSING_CURRENT_A = 0.4795535
+
+
+def _blank_sweep(axis, currents, grid=(-4.5, 5.0, 240)):
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    x = np.linspace(*grid[:2], grid[2])
+    return ft.SweepData(np.asarray(currents, dtype=float), axis, x,
+                        np.zeros((len(currents), x.size)))
+
+
+def _sweep_p_vector(n_sweeps):
+    scales = [166.2, 143.6, 150.0][:n_sweeps]
+    return np.array([-1.451, 1.361, *scales, 1.1, 0.9, 0.03])
+
+
+class TestBatchedSweepModel:
+    SPEC = ft.FieldSweepFitSpec()
+    PARAMS = default_params("field-sweep-fit")
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+    def test_matches_per_current_reference(self, axis):
+        sweeps = [_blank_sweep(SWEEP_AXES[axis], np.linspace(0.5, 10.0, 13),
+                               (-4.5, 5.0, 600))]
+        p = _sweep_p_vector(1)
+        reference = _reference_sweep_prediction(sweeps, self.PARAMS, self.SPEC, p)
+        batched = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
+        # summation order and eigh vs eigvalsh differ in the last bits only
+        assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(reference)
+
+    def test_jacobian_matches_central_differences(self):
+        currents = np.sort(np.append(np.linspace(0.5, 10.0, 7), CROSSING_CURRENT_A))
+        sweeps = [_blank_sweep(SWEEP_AXES[name], currents)
+                  for name in ("a", "c", "oblique")]
+        p = _sweep_p_vector(3)
+        jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        assert jac.shape == (sum(s.absorption.size for s in sweeps), p.size)
+
+        def central(k, h):
+            up, down = p.copy(), p.copy()
+            up[k] += h
+            down[k] -= h
+            return (ft._sweep_model(sweeps, self.PARAMS, self.SPEC, up)
+                    - ft._sweep_model(sweeps, self.PARAMS, self.SPEC, down)) / (2 * h)
+
+        for k in range(p.size):
+            h = 1e-4 * max(abs(p[k]), 1e-2)
+            # Richardson extrapolation removes the O(h^2) term
+            numeric = (4.0 * central(k, h / 2) - central(k, h)) / 3.0
+            scale = np.max(np.abs(jac[:, k]))
+            assert scale > 0
+            assert np.max(np.abs(numeric - jac[:, k])) <= 1e-8 * scale, k
+
+    def test_crossing_current_is_near_a_level_crossing(self):
+        from ybcawo4 import _kernels
+        from ybcawo4.constants import CONSTANTS
+        mu = CONSTANTS.mu_b_ghz_per_t
+        a_e, g_e = self.PARAMS.a_excited, self.PARAMS.g_excited
+        energies = _kernels.manifold_energies(
+            a_e.parallel, a_e.perpendicular, g_e.parallel * mu,
+            g_e.perpendicular * mu, 0.0,
+            [(0.0, 0.0, 0.1 * 150.0 * CROSSING_CURRENT_A * 1e-3)])
+        assert np.min(np.diff(energies[0])) < 1e-4
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        sweeps = [_blank_sweep(SWEEP_AXES["oblique"], np.linspace(0.5, 10.0, 9))]
+        p = _sweep_p_vector(1)
+        one = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
+        one_jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        monkeypatch.setattr(ft, "_BLOCK_CELLS", 4 * 20 * 240)
+        many = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
+        many_jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        assert np.allclose(many, one, rtol=0, atol=1e-13 * np.max(one))
+        assert np.allclose(many_jac, one_jac, rtol=0,
+                           atol=1e-13 * np.max(np.abs(one_jac)))
+
+
+class TestIdentifiability:
+    def test_full_rank_uncertainties_equal_normal_equations(self):
+        x = np.linspace(0, 4, 50)
+        rng = np.random.default_rng(1)
+        y = 2.0 * np.exp(-1.3 * x) + rng.normal(0, 0.01, x.size)
+        result = ft.least_squares(lambda p: p[0] * np.exp(-p[1] * x), y,
+                                  [1.0, 0.5],
+                                  jacobian=lambda p: np.column_stack(
+                                      [np.exp(-p[1] * x),
+                                       -p[0] * x * np.exp(-p[1] * x)]))
+        p = result.values
+        jac = np.column_stack([np.exp(-p[1] * x), -p[0] * x * np.exp(-p[1] * x)])
+        sigma_sq = result.residual_norm ** 2 / (x.size - 2)
+        expected = np.sqrt(np.diag(sigma_sq * np.linalg.inv(jac.T @ jac)))
+        assert result.converged and not result.flags
+        assert np.allclose(result.uncertainties, expected, rtol=1e-9)
+
+    def test_collinear_pair_both_unidentifiable(self):
+        x = np.linspace(0, 1, 10)
+        result = ft.least_squares(lambda p: p[0] * x + p[1] * x + p[2], 2 * x + 1,
+                                  [1.0, 1.0, 0.0], names=("a", "b", "c"))
+        assert not result.converged
+        assert result.flags == ("singular jacobian", "a unidentifiable",
+                                "b unidentifiable")
+        assert np.isinf(result.uncertainties[:2]).all()
+        assert np.isfinite(result.uncertainties[2])
+
+    def test_fewer_points_than_parameters(self):
+        result = ft.least_squares(lambda p: np.array([p[0] + p[1]]),
+                                  np.array([1.0]), [0.0, 0.0],
+                                  names=("a", "b"))
+        assert not result.converged
+        assert result.flags == ("singular jacobian", "a unidentifiable",
+                                "b unidentifiable")
+        assert np.isinf(result.uncertainties).all()
+
+    def test_single_perpendicular_sweep_leaves_only_g_parallel_open(self):
+        params = default_params("field-sweep-fit")
+        sweep = ft.simulate_current_sweep(params, (1, 0, 0),
+                                          np.linspace(1.0, 9.0, 9), 166.20,
+                                          (-4.0, 4.5, 300))
+        rng = np.random.default_rng(3)
+        noisy = ft.SweepData(sweep.currents_a, sweep.axis, sweep.detuning_ghz,
+                             sweep.absorption + rng.normal(
+                                 0, 0.02 * sweep.absorption.max(),
+                                 sweep.absorption.shape))
+        result = ft.fit_field_sweep(noisy, ft.FieldSweepFitSpec(
+            g_e_perpendicular=1.34, scales_g_per_a=(162.0,)), params)
+        assert not result.converged
+        assert result.flags == ("singular jacobian", "g_e_parallel unidentifiable")
+        assert np.isinf(result.uncertainty("g_e_parallel"))
+        for name in result.names[1:]:
+            assert 0.0 < result.uncertainty(name) < np.inf
+        assert abs(result["g_e_perpendicular"] / 1.361 - 1) < 0.01
