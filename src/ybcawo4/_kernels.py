@@ -1,9 +1,9 @@
 """Hot numeric kernels: batched 4x4 Hamiltonians, eigenvalues and Gaussian
 line synthesis, all in numpy.
 
-``manifold_energies_numpy`` and ``gaussian_profile_numpy`` are the same
-functions as ``manifold_energies`` and ``gaussian_profile``; the suffixed
-names are kept for existing callers.
+These take raw coefficients; spinham.hamiltonians and
+spinham.manifold_energies turn spin-system parameters into them, and no
+other module calls the builder.
 
 Basis order everywhere: (up-Up, up-Dn, dn-Up, dn-Dn) where the first arrow
 is the electron spin projection and the second the nuclear one, both along
@@ -64,7 +64,3 @@ def gaussian_profile(grid, centers, weights, fwhm):
     amp = 2.0 / fwhm * np.sqrt(np.log(2.0) / np.pi)
     d = grid[None, :] - centers[:, None]
     return amp * (weights[:, None] * np.exp(-inv * d * d)).sum(axis=0)
-
-
-manifold_energies_numpy = manifold_energies
-gaussian_profile_numpy = gaussian_profile

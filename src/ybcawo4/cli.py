@@ -56,25 +56,14 @@ class RunConfig:
     input_files: list = field(default_factory=list)
 
     def resolved(self) -> dict:
-        p = self.params
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "ground": {"g_par": p.g_ground.parallel, "g_perp": p.g_ground.perpendicular,
-                       "A_par_GHz": p.a_ground.parallel,
-                       "A_perp_GHz": p.a_ground.perpendicular},
-            "excited": {"g_par": p.g_excited.parallel,
-                        "g_perp": p.g_excited.perpendicular,
-                        "A_par_GHz": p.a_excited.parallel,
-                        "A_perp_GHz": p.a_excited.perpendicular},
-            "system": {"g_n": p.g_n, "T1_optical_s": p.t1_optical_s,
-                       "optical_center_THz": p.optical_center_thz,
-                       "fwhm_optical_MHz": p.fwhm_optical_mhz,
-                       "fwhm_spin_kHz": p.fwhm_spin_khz,
-                       "concentration_ppm": p.concentration_ppm,
-                       "unit_cell_volume_nm3": p.unit_cell_volume_nm3,
-                       "sites_per_cell": p.sites_per_cell},
-        }
+        """Preset, seed and every configuration key's value, by section."""
+        out = {"preset": self.preset, "seed": self.seed}
+        for key, (attr, component) in _CONFIG_KEYS.items():
+            section, name = key.split(".")
+            value = getattr(self.params, attr)
+            out.setdefault(section, {})[name] = (
+                value if component is None else getattr(value, component))
+        return out
 
 
 def _apply_override(params: SpinSystemParams, key: str,
@@ -447,7 +436,8 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
         raise ValidationError(f"unknown fit model {args.model!r}")
     print(result.describe())
     if not result.converged:
-        raise NumericalError("fit did not converge; see flags in fit.csv")
+        reason = "; ".join(result.flags) or "no flags raised"
+        raise NumericalError(f"fit did not converge ({reason})")
     out = config.out_dir / "fit.csv"
     csvio.write_rows(out, ["name", "value", "uncertainty"],
                      [[n, v, u] for n, v, u in

@@ -213,13 +213,10 @@ class PumpConfig:
     temperature_k: float = 0.05
     slr_doublet: SlrParams = SLR_DOUBLET
     slr_upper: SlrParams = SLR_UPPER
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ValidationError("duration must be positive")
-        if self.rel_tol <= 0:
-            raise ValidationError("step control tolerance must be positive")
         for (g_level, e_level), rate in self.transitions:
             if not (1 <= g_level <= 4 and 1 <= e_level <= 4):
                 raise ValidationError("pumped transition indices must be 1..4")
@@ -284,9 +281,10 @@ _CK_B = (
 )
 _CK_C5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_C4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_CK_REL_TOL = 1e-8   # step control: relative error per accepted step
 
 
-def _integrate_linear(matrix, y0, duration, rel_tol):
+def _integrate_linear(matrix, y0, duration):
     """Adaptive Cash-Karp integration of dy/dt = M y, recording every step."""
     t, y = 0.0, np.asarray(y0, dtype=float).copy()
     times, states = [0.0], [y.copy()]
@@ -305,7 +303,7 @@ def _integrate_linear(matrix, y0, duration, rel_tol):
         y5 = y + h * sum(c * kk for c, kk in zip(_CK_C5, k))
         y4 = y + h * sum(c * kk for c, kk in zip(_CK_C4, k))
         scale = np.maximum(np.abs(y5), 1e-3)
-        err = np.max(np.abs(y5 - y4) / scale) / rel_tol
+        err = np.max(np.abs(y5 - y4) / scale) / _CK_REL_TOL
         if err <= 1.0:
             t += h
             y = y5
@@ -337,7 +335,7 @@ def pump_simulation(config: PumpConfig, params: SpinSystemParams,
         if y0.shape != (8,) or abs(y0.sum() - 1.0) > 1e-9 or np.any(y0 < 0):
             raise ValidationError("initial populations must be 8 non-negative "
                                   "values summing to 1")
-    times, states = _integrate_linear(matrix, y0, config.duration_s, config.rel_tol)
+    times, states = _integrate_linear(matrix, y0, config.duration_s)
     return PumpResult(times, states)
 
 

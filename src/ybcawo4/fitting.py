@@ -5,16 +5,17 @@ temperature, field-sweep g-tensor extraction, and photometric estimates.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
+from . import spectra, spinham
 from .constants import (C_LIGHT_M_S, CONSTANTS, E_CHARGE_C, EPSILON0_F_M,
                         M_ELECTRON_KG)
 from .errors import DomainError, ValidationError
-from .params import SpinSystemParams
+from .params import Manifold, SpinSystemParams, g_tensor
 from .dynamics import boltzmann_populations
 
 
@@ -378,76 +379,87 @@ class FieldSweepFitSpec:
 _BLOCK_CELLS = 1 << 13
 
 
-def _expectations(states, operators) -> np.ndarray:
-    """<k|O|k> (n, 4) for eigenvector columns k of each stacked state matrix."""
-    return np.einsum("nak,nab,nbk->nk", states.conj(), operators, states).real
+def _expectations(states, operator) -> np.ndarray:
+    """<k|O|k> (n, 4) for the eigenvector columns k of each stacked state matrix."""
+    return np.einsum("nak,nak->nk", states.conj(), operator @ states).real
 
 
-def _sweep_lines(sweep, params: SpinSystemParams, g_par_e, g_perp_e, scale,
-                 derivatives: bool):
-    """Line centres (n_currents, 20) of one sweep before the offset and, if
-    asked, their derivatives (n_currents, 20, 3) with respect to g_par_e,
-    g_perp_e and the sweep's scale.
+# Excited g tensors (1, 0) and (0, 1) without the nuclear Zeeman term: along
+# an axis their field_derivative_operator is dH_e/dB per unit g component.
+_UNIT_G_PARAMS = tuple(SpinSystemParams(g_excited=g_tensor(*g), g_n=0.0)
+                       for g in ((1.0, 0.0), (0.0, 1.0)))
 
-    Columns 0-15 are the 171Yb lines e_e[j] - e_g[i] (column 4 i + j), 16-19
-    the I = 0 lines.  The field is B = 0.1 scale I (mT) along the axis, and
-    every Zeeman term is linear in B and in the g values, so Hellmann-Feynman
-    gives each 171Yb derivative as an expectation value <k|dH/dtheta|k>.
-    All sixteen 171Yb lines carry one weight, so their summed profile stays
-    differentiable where levels cross, whichever eigenvectors eigh returns.
+
+@functools.lru_cache(maxsize=16)
+def _unit_g_operators(axis: tuple) -> tuple:
+    """d^2 H_e / dB dg_parallel and d^2 H_e / dB dg_perpendicular along the
+    axis (GHz/T), read-only; they depend on the axis alone."""
+    operators = tuple(spinham.field_derivative_operator(p, Manifold.EXCITED, axis)
+                      for p in _UNIT_G_PARAMS)
+    for op in operators:
+        op.setflags(write=False)
+    return operators
+
+
+def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
+    """Line centres (n_rows, 20) before the offset, one row per current of
+    every sweep in order, and if asked their derivatives (n_rows, 20, 3) with
+    respect to the excited g_parallel, g_perpendicular and the scale of the
+    row's own sweep.
+
+    params carry the trial excited g tensor and g_n = 0.  Columns 0-15 are
+    the 171Yb lines e_e[j] - e_g[i] (column 4 i + j), 16-19 the I = 0 lines
+    of spectra.zero_spin_centers.  The field is B = 0.1 scale I (mT) along
+    the sweep's axis, and every Zeeman term is linear in B and in the g
+    values, so Hellmann-Feynman gives each 171Yb derivative as an
+    expectation value <k|dH/dtheta|k> of a field_derivative_operator times
+    dB/dtheta.  All sixteen 171Yb lines carry one weight, so their summed
+    profile stays differentiable where levels cross, whichever eigenvectors
+    eigh returns.
     """
-    mu = CONSTANTS.mu_b_ghz_per_t
-    a_g, a_e, g_g = params.a_ground, params.a_excited, params.g_ground
-    fields_t = (0.1 * scale * sweep.currents_a)[:, None] * 1e-3 \
-        * sweep.axis[None, :]
-    e_g, v_g = np.linalg.eigh(_kernels.build_hamiltonians(
-        a_g.parallel, a_g.perpendicular, g_g.parallel * mu,
-        g_g.perpendicular * mu, 0.0, fields_t))
-    e_e, v_e = np.linalg.eigh(_kernels.build_hamiltonians(
-        a_e.parallel, a_e.perpendicular, g_par_e * mu, g_perp_e * mu, 0.0,
-        fields_t))
-    n = sweep.currents_a.size
-    d = sweep.axis
-    transverse = d[0] ** 2 + d[1] ** 2
-    g_eff_g = math.sqrt((g_g.parallel * d[2]) ** 2
-                        + g_g.perpendicular ** 2 * transverse)
-    g_eff_e = math.sqrt((g_par_e * d[2]) ** 2 + g_perp_e ** 2 * transverse)
-    b_mags_t = 0.1 * scale * sweep.currents_a * 1e-3
-    split_g = g_eff_g * mu * b_mags_t
-    split_e = g_eff_e * mu * b_mags_t
-    sign_g = np.array([-1.0, -1.0, 1.0, 1.0])
-    sign_e = np.array([-1.0, 1.0, -1.0, 1.0])
+    sizes = [sweep.currents_a.size for sweep in sweeps]
+    currents = np.concatenate([sweep.currents_a for sweep in sweeps])
+    axes = np.repeat([sweep.axis for sweep in sweeps], sizes, axis=0)
+    row_scales = np.repeat(scales, sizes)
+    fields_mt = (0.1 * row_scales * currents)[:, None] * axes
+    e_g, v_g = np.linalg.eigh(spinham.hamiltonians(params, Manifold.GROUND, fields_mt))
+    e_e, v_e = np.linalg.eigh(spinham.hamiltonians(params, Manifold.EXCITED, fields_mt))
+    n = currents.size
     centres = np.empty((n, 20))
     centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
-    centres[:, 16:] = (sign_e * split_e[:, None] - sign_g * split_g[:, None]) / 2.0
+    centres[:, 16:] = spectra.zero_spin_centers(params, fields_mt)
     if not derivatives:
         return centres, None
 
-    # dB/dscale in tesla; dH_e/dg_par and dH_e/dg_perp are linear in B
-    b_unit_t = 1e-4 * sweep.currents_a
-    unit_fields = b_unit_t[:, None] * d[None, :]
-    par_e = _expectations(v_e, _kernels.build_hamiltonians(
-        0.0, 0.0, mu, 0.0, 0.0, unit_fields))
-    perp_e = _expectations(v_e, _kernels.build_hamiltonians(
-        0.0, 0.0, 0.0, mu, 0.0, unit_fields))
-    zeeman_g = _expectations(v_g, _kernels.build_hamiltonians(
-        0.0, 0.0, g_g.parallel * mu, g_g.perpendicular * mu, 0.0, unit_fields))
-    de_e = np.stack([scale * par_e, scale * perp_e,
-                     g_par_e * par_e + g_perp_e * perp_e], axis=-1)
+    g_e = params.g_excited
+    b_unit_t = 1e-4 * currents                  # dB/dscale, tesla
+    b_t = b_unit_t * row_scales
+    # dH/dB along each row's axis: per unit excited g_par, g_perp; ground
+    operators = np.repeat(
+        [(*_unit_g_operators(tuple(sweep.axis)),
+          spinham.field_derivative_operator(params, Manifold.GROUND, sweep.axis))
+         for sweep in sweeps], sizes, axis=0)
+    par_e = _expectations(v_e, operators[:, 0])
+    perp_e = _expectations(v_e, operators[:, 1])
+    de_e = np.stack([b_t[:, None] * par_e, b_t[:, None] * perp_e,
+                     b_unit_t[:, None] * (g_e.parallel * par_e
+                                          + g_e.perpendicular * perp_e)], axis=-1)
     de_g = np.zeros((n, 4, 3))
-    de_g[:, :, 2] = zeeman_g
+    de_g[:, :, 2] = b_unit_t[:, None] * _expectations(v_g, operators[:, 2])
     slopes = np.empty((n, 20, 3))
     slopes[:, :16] = (de_e[:, None, :, :] - de_g[:, :, None, :]).reshape(n, 16, 3)
-    # I = 0 lines: split = g_eff mu B with g_eff = |g . axis|
-    dsplit_e = np.zeros((n, 3))
-    if g_eff_e > 0.0:   # at g_eff_e = 0 the symmetric pair has zero slope
-        dsplit_e[:, 0] = mu * b_mags_t * g_par_e * d[2] ** 2 / g_eff_e
-        dsplit_e[:, 1] = mu * b_mags_t * g_perp_e * transverse / g_eff_e
-    dsplit_e[:, 2] = g_eff_e * mu * b_unit_t
-    dsplit_g = np.zeros((n, 3))
-    dsplit_g[:, 2] = g_eff_g * mu * b_unit_t
-    slopes[:, 16:] = (sign_e[None, :, None] * dsplit_e[:, None, :]
-                      - sign_g[None, :, None] * dsplit_g[:, None, :]) / 2.0
+    # I = 0 lines: linear in |B| and so in the scale; the excited splitting
+    # s = g_eff mu_B |B| (column 1 - column 0) has ds/dg = per_g g d_g^2 with
+    # per_g = (mu_B B)^2 / s, for each g component and its axis share d_g^2
+    i0 = centres[:, 16:]
+    split_e = i0[:, 1] - i0[:, 0]
+    per_g = np.divide((CONSTANTS.mu_b_ghz_per_t * b_t) ** 2, split_e,
+                     out=np.zeros(n), where=split_e > 0.0)
+    half_e = np.array([-0.5, 0.5, -0.5, 0.5])
+    slopes[:, 16:, 0] = (per_g * g_e.parallel * axes[:, 2] ** 2)[:, None] * half_e
+    slopes[:, 16:, 1] = (per_g * g_e.perpendicular
+                         * (axes[:, 0] ** 2 + axes[:, 1] ** 2))[:, None] * half_e
+    slopes[:, 16:, 2] = i0 / row_scales[:, None]
     return centres, slopes
 
 
@@ -462,11 +474,12 @@ def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
     (n_points, n_params) Jacobian: the amplitude and offset columns come
     from the same Gaussian block as the model, and the g and scale columns
     are the centre derivatives of _sweep_lines chained through d/dcentre.
-    The output is allocated once and filled in passes of at most
-    _BLOCK_CELLS line-grid cells (one current at least).
+    Every sweep's lines come from one _sweep_lines call.  The output is
+    allocated once and filled in passes of at most _BLOCK_CELLS line-grid
+    cells (one current at least).
     """
     n_sweeps = len(sweeps)
-    g_par_e, g_perp_e = p_vector[0], p_vector[1]
+    params = replace(params, g_excited=g_tensor(p_vector[0], p_vector[1]), g_n=0.0)
     scales = p_vector[2:2 + n_sweeps]
     amplitudes = p_vector[2 + n_sweeps:4 + n_sweeps]
     offset = p_vector[4 + n_sweeps]
@@ -481,17 +494,17 @@ def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
     weights = amplitudes @ line_amps
     total = sum(sweep.absorption.size for sweep in sweeps)
     out = np.zeros((p_vector.size, total)) if jacobian else np.empty(total)
-    start = 0
-    for s, (sweep, scale) in enumerate(zip(sweeps, scales)):
+    centres, slopes = _sweep_lines(sweeps, params, scales, jacobian)
+    centres += offset
+    start = row = 0
+    for s, sweep in enumerate(sweeps):
         x = sweep.detuning_ghz
         n, m = sweep.absorption.shape
-        centres, slopes = _sweep_lines(sweep, params, g_par_e, g_perp_e, scale,
-                                       jacobian)
-        centres += offset
         step = max(1, _BLOCK_CELLS // (20 * m))
         for k in range(0, n, step):
-            block = slice(k, min(k + step, n))
-            cells = slice(start + block.start * m, start + block.stop * m)
+            stop = min(k + step, n)
+            block = slice(row + k, row + stop)
+            cells = slice(start + k * m, start + stop * m)
             u = x - centres[block, :, None]
             core = np.exp(-inv[:, None] * u * u)
             per_amp = line_amps @ core              # (b, 2, m)
@@ -508,6 +521,7 @@ def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
             out[i_amp + 1, cells] = per_amp[:, 1].ravel()
             out[i_offset, cells] = d_centre.sum(axis=1).ravel()
         start += n * m
+        row += n
     return out.T if jacobian else out
 
 

@@ -8,6 +8,8 @@ isotope line sits at a configurable offset, 0 by default.
 
 from __future__ import annotations
 
+import itertools
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -136,32 +138,69 @@ class SweepMap:
         return Spectrum(self.detuning_ghz, self.absorption[index])
 
 
-def _effective_g(g, direction):
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    return float(np.sqrt((g.parallel * d[2]) ** 2
-                         + g.perpendicular**2 * (d[0] ** 2 + d[1] ** 2)))
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as np.linalg.norm rounds one
+    vector (a BLAS dot; a sum of squares rounds differently)."""
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def _pow_square(x: np.ndarray) -> np.ndarray:
+    """x ** 2 of each element through libm pow, as Python and numpy scalars
+    compute it; numpy's array square (x * x) differs from it in the last bit
+    for about one value in a thousand, which would move recorded CSV bytes."""
+    return np.fromiter(map(math.pow, x.ravel(), itertools.repeat(2.0)), float,
+                       x.size).reshape(x.shape)
+
+
+_HALF_SPLIT = np.array([-0.5, 0.5])   # levels 1 and 2 of a Zeeman doublet
+
+
+def zero_spin_centers(params: SpinSystemParams, fields_mt,
+                      offset_ghz: float = 0.0) -> np.ndarray:
+    """Line centers (n, 4) in GHz of the I=0 isotopes over an (n, 3) field
+    stack in mT.
+
+    The I=0 isotopes have pure electron Zeeman doublets, split by
+    g_eff mu_B |B| with g_eff = |g . d| along the field direction d.  Column
+    2 (i - 1) + (j - 1) is the ground level i -> excited level j line,
+    (offset + e_e[j]) - e_g[i], with e[1] = -split / 2 and e[2] = split / 2.
+    A zero field gives four lines at the offset.
+    """
+    fields = np.atleast_2d(np.asarray(fields_mt, dtype=float))
+    norm = _row_norms(fields)
+    with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: set below
+        # normalized twice, as the per-field formula always did
+        direction = fields / norm[:, None]
+        direction /= _row_norms(direction)[:, None]
+    axial = _pow_square(direction)
+    g_par = np.array([params.g_ground.parallel, params.g_excited.parallel])
+    g_perp_sq = np.array([params.g_ground.perpendicular**2,
+                          params.g_excited.perpendicular**2])
+    # columns: ground, excited
+    g_eff = np.sqrt(_pow_square(g_par * direction[:, 2:])
+                    + g_perp_sq * (axial[:, :1] + axial[:, 1:2]))
+    split = g_eff * CONSTANTS.mu_b_ghz_per_t * (norm * 1e-3)[:, None]
+    levels = split[:, :, None] * _HALF_SPLIT           # [row, manifold, level]
+    centers = ((offset_ghz + levels[:, 1, None, :])
+               - levels[:, 0, :, None]).reshape(-1, 4)
+    centers[norm == 0.0] = offset_ghz
+    return centers
 
 
 def zero_spin_lines(params: SpinSystemParams, b_mt, offset_ghz: float = 0.0,
                     total_weight: float = 1.0) -> list[TransitionLine]:
-    """Optical lines of the I=0 isotopes: pure electron Zeeman doublets."""
+    """Optical lines of the I=0 isotopes: pure electron Zeeman doublets.
+
+    Four lines of weight total_weight / 4 at the zero_spin_centers, or one
+    line at the offset at zero field.
+    """
     b = np.asarray(b_mt, dtype=float)
-    norm = np.linalg.norm(b)
-    lines = []
-    if norm == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return [TransitionLine(1, 1, offset_ghz, total_weight, isotope="I0")]
-    direction = b / norm
-    b_t = norm * 1e-3
-    split_g = _effective_g(params.g_ground, direction) * CONSTANTS.mu_b_ghz_per_t * b_t
-    split_e = _effective_g(params.g_excited, direction) * CONSTANTS.mu_b_ghz_per_t * b_t
-    e_g = (-split_g / 2.0, split_g / 2.0)
-    e_e = (-split_e / 2.0, split_e / 2.0)
-    for i in (1, 2):
-        for j in (1, 2):
-            lines.append(TransitionLine(i, j, offset_ghz + e_e[j - 1] - e_g[i - 1],
-                                        total_weight / 4.0, isotope="I0"))
-    return lines
+    centers = zero_spin_centers(params, b, offset_ghz)[0]
+    return [TransitionLine(i, j, float(centers[2 * i + j - 3]),
+                           total_weight / 4.0, isotope="I0")
+            for i in (1, 2) for j in (1, 2)]
 
 
 def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | None:

@@ -68,18 +68,37 @@ def _zeeman_factors(params: SpinSystemParams, manifold: Manifold,
     return ze_par, ze_perp, zn
 
 
-def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
-                      include_nuclear_zeeman: bool = True) -> np.ndarray:
-    """4x4 Hermitian matrix in GHz for the given manifold and field (mT)."""
-    b_t = np.asarray(b_mt, dtype=float) * 1e-3
-    if b_t.shape != (3,):
-        raise ValidationError("magnetic field must be a 3-vector")
-    if not np.all(np.isfinite(b_t)):
+def _builder_inputs(params: SpinSystemParams, manifold: Manifold, fields_mt,
+                    include_nuclear_zeeman: bool):
+    """Arguments of the _kernels builder for an (n, 3) field stack in mT."""
+    fields = np.asarray(fields_mt, dtype=float)
+    if fields.ndim != 2 or fields.shape[1] != 3:
+        raise ValidationError("fields must be an (n, 3) stack of 3-vectors")
+    if not np.isfinite(fields).all():
         raise ValidationError("magnetic field components must be finite")
     a = params.a(manifold)
     ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
+    return a.parallel, a.perpendicular, ze_par, ze_perp, zn, fields * 1e-3
+
+
+def hamiltonians(params: SpinSystemParams, manifold: Manifold, fields_mt,
+                 include_nuclear_zeeman: bool = True) -> np.ndarray:
+    """Stack (n, 4, 4) of Hermitian matrices in GHz over an (n, 3) field stack (mT).
+
+    The one place that turns parameters into Hamiltonians; manifold_energies
+    feeds the same checked inputs to the eigvalsh kernel.
+    """
     return _kernels.build_hamiltonians(
-        a.parallel, a.perpendicular, ze_par, ze_perp, zn, b_t[None, :])[0]
+        *_builder_inputs(params, manifold, fields_mt, include_nuclear_zeeman))
+
+
+def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
+                      include_nuclear_zeeman: bool = True) -> np.ndarray:
+    """4x4 Hermitian matrix in GHz for the given manifold and field (mT)."""
+    b = np.asarray(b_mt, dtype=float)
+    if b.shape != (3,):
+        raise ValidationError("magnetic field must be a 3-vector")
+    return hamiltonians(params, manifold, b[None, :], include_nuclear_zeeman)[0]
 
 
 def field_derivative_operator(params: SpinSystemParams, manifold: Manifold,
@@ -179,15 +198,8 @@ def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt,
     states[r, :, k] belongs to energies[r, k]; every row follows the same
     conventions as eigensystem, which is the one-row case of this function.
     """
-    fields = np.asarray(fields_mt, dtype=float)
-    if fields.ndim != 2 or fields.shape[1] != 3:
-        raise ValidationError("fields must be an (n, 3) stack of 3-vectors")
-    if not np.all(np.isfinite(fields)):
-        raise ValidationError("magnetic field components must be finite")
-    a = params.a(manifold)
-    ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
-    return _eigh_stack(_kernels.build_hamiltonians(
-        a.parallel, a.perpendicular, ze_par, ze_perp, zn, fields * 1e-3))
+    return _eigh_stack(hamiltonians(params, manifold, fields_mt,
+                                    include_nuclear_zeeman))
 
 
 def eigensystem(params: SpinSystemParams, manifold: Manifold, b_mt=(0.0, 0.0, 0.0),
@@ -202,12 +214,10 @@ def eigensystem(params: SpinSystemParams, manifold: Manifold, b_mt=(0.0, 0.0, 0.
 
 def manifold_energies(params: SpinSystemParams, manifold: Manifold, fields_mt,
                       include_nuclear_zeeman: bool = True) -> np.ndarray:
-    """Ascending energies (n, 4) over a batch of fields; hot-kernel backed."""
-    a = params.a(manifold)
-    ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
-    fields_t = np.atleast_2d(np.asarray(fields_mt, dtype=float)) * 1e-3
-    return _kernels.manifold_energies(a.parallel, a.perpendicular,
-                                      ze_par, ze_perp, zn, fields_t)
+    """Ascending energies (n, 4) over a batch of fields (mT); the builder
+    inputs of hamiltonians, diagonalized by the eigvalsh kernel."""
+    return _kernels.manifold_energies(*_builder_inputs(
+        params, manifold, np.atleast_2d(fields_mt), include_nuclear_zeeman))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,23 @@ class TestSubcommands:
                           if p.name != "manifest.json")
         assert manifest["outputs"] == produced
 
+    def test_manifest_config_holds_every_key_with_overrides(self, tmp_path):
+        out = tmp_path / "m"
+        assert run_cli("--out", out, "--set", "excited.g_par=-1.5",
+                       "--set", "system.sites_per_cell=2", "levels") == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        defaults = default_params()
+        assert config["preset"] == "yb171-cawo4" and config["seed"] == 0
+        assert config["excited"] == {"g_par": -1.5, "g_perp": 1.293,
+                                     "A_par_GHz": -2.87, "A_perp_GHz": 2.72}
+        assert config["ground"]["A_perp_GHz"] == defaults.a_ground.perpendicular
+        assert config["system"]["sites_per_cell"] == 2
+        assert config["system"]["g_n"] == defaults.g_n
+        keys = {f"{section}.{name}" for section in ("ground", "excited", "system")
+                for name in config[section]}
+        assert keys == set(cli._CONFIG_KEYS)
+        assert set(config) == {"preset", "seed", "ground", "excited", "system"}
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = run_cli("--out", tmp_path / "x", "--set",
                        "system.concentration_ppm=-5", "levels")
@@ -364,3 +381,19 @@ class TestFitSubcommand:
         assert rows["g_e_perpendicular"] == pytest.approx(1.361, abs=0.002)
         assert rows["scale_0"] == pytest.approx(166.20, rel=1e-3)
         assert rows["scale_1"] == pytest.approx(143.64, rel=1e-3)
+
+    def test_unconverged_sweep_fit_names_its_flags(self, tmp_path, capsys):
+        # a single sweep perpendicular to c never probes g_parallel
+        sweep = fitting.simulate_current_sweep(
+            default_params("field-sweep-fit"), (1, 0, 0),
+            np.linspace(1.0, 9.0, 5), 166.20, (-4.0, 4.5, 120))
+        path = tmp_path / "perp.csv"
+        csvio.write_sweep_long(path, sweep.currents_a, sweep.detuning_ghz,
+                               sweep.absorption)
+        out = tmp_path / "fit"
+        assert run_cli("--out", out, "fit", "--model", "sweep", "--data", path,
+                       "--axis", "a") == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure (fit): fit did not converge (singular "
+                       "jacobian; g_e_parallel unidentifiable)\n")
+        assert not (out / "fit.csv").exists()

@@ -15,7 +15,7 @@ def _random_inputs(seed):
 
 def test_numpy_energy_kernel_is_sorted_and_traceless():
     args, fields = _random_inputs(0)
-    energies = _kernels.manifold_energies_numpy(fields_t=fields, **args)
+    energies = _kernels.manifold_energies(fields_t=fields, **args)
     assert energies.shape == (64, 4)
     assert np.all(np.diff(energies, axis=1) >= -1e-12)
     assert np.allclose(energies.sum(axis=1), 0.0, atol=1e-10)
@@ -23,5 +23,5 @@ def test_numpy_energy_kernel_is_sorted_and_traceless():
 
 def test_gaussian_numpy_kernel_unit_area():
     grid = np.linspace(-10, 10, 20001)
-    out = _kernels.gaussian_profile_numpy(grid, np.array([0.3]), np.array([2.0]), 0.185)
+    out = _kernels.gaussian_profile(grid, np.array([0.3]), np.array([2.0]), 0.185)
     assert np.trapezoid(out, grid) == pytest.approx(2.0, rel=1e-6)

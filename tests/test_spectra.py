@@ -8,7 +8,7 @@ from ybcawo4 import spectra as sp
 from ybcawo4 import spinham
 from ybcawo4.constants import CONSTANTS
 from ybcawo4.errors import NumericalError, ValidationError
-from ybcawo4.params import Manifold, a_tensor, default_params
+from ybcawo4.params import Manifold, a_tensor, default_params, g_tensor
 
 PARAMS = default_params()
 
@@ -270,6 +270,65 @@ class TestBatchedSweepMapEqualsPerFieldLoop:
         sweep = sp.field_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
         x, block = _reference_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
         assert np.array_equal(sweep.absorption, block)
+
+
+def _reference_zero_spin_centers(params, b_mt, offset_ghz):
+    """The per-field I = 0 formula the vectorised helper replaced, in its
+    scalar arithmetic (np.linalg.norm, scalar ** 2), kept as its reference."""
+    b = np.asarray(b_mt, dtype=float)
+    norm = np.linalg.norm(b)
+    direction = b / norm
+
+    def effective_g(g):
+        d = direction / np.linalg.norm(direction)
+        return float(np.sqrt((g.parallel * d[2]) ** 2
+                             + g.perpendicular**2 * (d[0] ** 2 + d[1] ** 2)))
+
+    b_t = norm * 1e-3
+    split_g = effective_g(params.g_ground) * CONSTANTS.mu_b_ghz_per_t * b_t
+    split_e = effective_g(params.g_excited) * CONSTANTS.mu_b_ghz_per_t * b_t
+    e_g = (-split_g / 2.0, split_g / 2.0)
+    e_e = (-split_e / 2.0, split_e / 2.0)
+    return [offset_ghz + e_e[j] - e_g[i] for i in (0, 1) for j in (0, 1)]
+
+
+class TestZeroSpinCenters:
+    """The vectorised I = 0 centres must round exactly as the per-field formula."""
+
+    def test_bit_for_bit_on_random_oblique_fields(self):
+        # enough rows that a last-bit difference in 1 of 1000 squares shows
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            params = replace(PARAMS, g_ground=g_tensor(*rng.uniform(-5, 5, 2)),
+                             g_excited=g_tensor(*rng.uniform(-5, 5, 2)))
+            axis = rng.normal(size=3)
+            fields = rng.uniform(-300, 300, size=(50, 1)) * axis / np.linalg.norm(axis)
+            offset = float(rng.normal()) if trial % 2 else 0.0
+            got = sp.zero_spin_centers(params, fields, offset)
+            assert got.shape == (50, 4)
+            for row, b in enumerate(fields):
+                reference = _reference_zero_spin_centers(params, b, offset)
+                assert got[row].tolist() == reference
+            lines = sp.zero_spin_lines(params, fields[0], offset, 2.0)
+            assert [ln.detuning_ghz for ln in lines] == got[0].tolist()
+            assert [(ln.ground_index, ln.excited_index, ln.weight) for ln in lines] == \
+                [(1, 1, 0.5), (1, 2, 0.5), (2, 1, 0.5), (2, 2, 0.5)]
+
+    def test_recorded_sweep_axis_bit_for_bit(self):
+        axis = np.array([0.95, 0.0, 0.31])
+        axis /= np.linalg.norm(axis)
+        axis /= np.linalg.norm(axis)     # the CLI and field_sweep_map both normalize
+        fields = np.linspace(0.0, 213.7, 101)[1:, None] * axis
+        got = sp.zero_spin_centers(PARAMS, fields)
+        for row, b in enumerate(fields):
+            assert got[row].tolist() == _reference_zero_spin_centers(PARAMS, b, 0.0)
+
+    def test_zero_field(self):
+        got = sp.zero_spin_centers(PARAMS, [[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]], 0.25)
+        assert got[0].tolist() == [0.25] * 4
+        assert np.all(np.isfinite(got))
+        lines = sp.zero_spin_lines(PARAMS, (0.0, 0.0, 0.0), 0.25, 2.0)
+        assert [(ln.detuning_ghz, ln.weight) for ln in lines] == [(0.25, 2.0)]
 
 
 class TestSweepMapValidation:

@@ -361,6 +361,31 @@ def test_eigensystems_rejects_bad_field_stacks():
         sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 1.0))
 
 
+def test_hamiltonian_stack_equals_single_builds():
+    rng = np.random.default_rng(10)
+    fields = np.concatenate([rng.uniform(-400, 400, size=(16, 3)), np.zeros((1, 3))])
+    for manifold in Manifold:
+        for nuclear in (True, False):
+            stack = sh.hamiltonians(PARAMS, manifold, fields, nuclear)
+            assert stack.shape == (fields.shape[0], 4, 4)
+            for row, b in enumerate(fields):
+                assert np.array_equal(
+                    stack[row], sh.build_hamiltonian(PARAMS, manifold, b, nuclear))
+            assert np.array_equal(np.linalg.eigvalsh(stack),
+                                  sh.manifold_energies(PARAMS, manifold, fields,
+                                                       nuclear))
+
+
+def test_stack_builder_and_energies_reject_bad_fields():
+    for fn in (sh.hamiltonians, sh.manifold_energies):
+        with pytest.raises(ValidationError, match="finite"):
+            fn(PARAMS, Manifold.EXCITED, [[0.0, np.nan, 1.0]])
+        with pytest.raises(ValidationError, match="3-vectors"):
+            fn(PARAMS, Manifold.EXCITED, [[0.0, 1.0]])
+    with pytest.raises(ValidationError, match="3-vectors"):
+        sh.hamiltonians(PARAMS, Manifold.EXCITED, [0.0, 0.0, 1.0])
+
+
 def test_product_operators_are_read_only_constants():
     s_ops, i_ops = sh.product_operators()
     assert s_ops is sh.S_OPS and i_ops is sh.I_OPS
