@@ -1,58 +1,27 @@
 """Hot numeric kernels: batched 4x4 Hamiltonians, eigenvalues and Gaussian
 line synthesis, all in numpy.
 
-These take raw coefficients; spinham.hamiltonians and
-spinham.manifold_energies turn spin-system parameters into them, and no
-other module calls the builder.
-
-Basis order everywhere: (up-Up, up-Dn, dn-Up, dn-Dn) where the first arrow
-is the electron spin projection and the second the nuclear one, both along
-the crystal c axis (z).  Energies in GHz, fields in tesla.
+The Hamiltonian kernels take the raw operator pair of
+spinham.zeeman_operators, H(B) = H0 + sum_a B_a Z_a; spinham.hamiltonians
+and spinham.manifold_energies check the fields and call them, and no other
+module does.  Energies in GHz, fields in tesla.
 """
 
 import numpy as np
 
 
-def build_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
-    """Stack of 4x4 Hamiltonians, one per field row.
+def hamiltonians(h0, zeeman, fields_t):
+    """Stack (n, 4, 4) of H0 + sum_a B_a Z_a over the (n, 3) fields in tesla.
 
-    a_par, a_perp : hyperfine components, GHz
-    ze_par, ze_perp : g_par * mu_B/h and g_perp * mu_B/h, GHz/T
-    zn : g_n * mu_n/h, GHz/T (0 drops the nuclear Zeeman term)
-    fields_t : (n, 3) fields in tesla
+    h0 : (4, 4) zero-field Hamiltonian, GHz
+    zeeman : (3, 4, 4) Zeeman operators Z_a = dH/dB_a, GHz/T
     """
-    fields_t = np.atleast_2d(np.asarray(fields_t, dtype=np.float64))
-    n = fields_t.shape[0]
-    bx, by, bz = fields_t[:, 0], fields_t[:, 1], fields_t[:, 2]
-    h = np.zeros((n, 4, 4), dtype=np.complex128)
-    gz = ze_par * bz
-    nz = zn * bz
-    h[:, 0, 0] = a_par / 4.0 + gz / 2.0 - nz / 2.0
-    h[:, 1, 1] = -a_par / 4.0 + gz / 2.0 + nz / 2.0
-    h[:, 2, 2] = -a_par / 4.0 - gz / 2.0 - nz / 2.0
-    h[:, 3, 3] = a_par / 4.0 - gz / 2.0 + nz / 2.0
-    # electron-nuclear flip-flop
-    h[:, 1, 2] = a_perp / 2.0
-    h[:, 2, 1] = a_perp / 2.0
-    # transverse electron Zeeman (electron flip, nucleus spectator)
-    et = ze_perp * (bx - 1j * by) / 2.0
-    h[:, 0, 2] = et
-    h[:, 2, 0] = np.conj(et)
-    h[:, 1, 3] = et
-    h[:, 3, 1] = np.conj(et)
-    # transverse nuclear Zeeman (nucleus flip, electron spectator)
-    nt = -zn * (bx - 1j * by) / 2.0
-    h[:, 0, 1] = nt
-    h[:, 1, 0] = np.conj(nt)
-    h[:, 2, 3] = nt
-    h[:, 3, 2] = np.conj(nt)
-    return h
+    return h0 + (fields_t @ zeeman.reshape(3, 16)).reshape(-1, 4, 4)
 
 
-def manifold_energies(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
+def manifold_energies(h0, zeeman, fields_t):
     """Ascending eigenvalues (n, 4) of the manifold at each field row."""
-    return np.linalg.eigvalsh(
-        build_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t))
+    return np.linalg.eigvalsh(hamiltonians(h0, zeeman, fields_t))
 
 
 def gaussian_profile(grid, centers, weights, fwhm):

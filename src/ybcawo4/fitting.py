@@ -5,7 +5,6 @@ temperature, field-sweep g-tensor extraction, and photometric estimates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -384,23 +383,6 @@ def _expectations(states, operator) -> np.ndarray:
     return np.einsum("nak,nak->nk", states.conj(), operator @ states).real
 
 
-# Excited g tensors (1, 0) and (0, 1) without the nuclear Zeeman term: along
-# an axis their field_derivative_operator is dH_e/dB per unit g component.
-_UNIT_G_PARAMS = tuple(SpinSystemParams(g_excited=g_tensor(*g), g_n=0.0)
-                       for g in ((1.0, 0.0), (0.0, 1.0)))
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_g_operators(axis: tuple) -> tuple:
-    """d^2 H_e / dB dg_parallel and d^2 H_e / dB dg_perpendicular along the
-    axis (GHz/T), read-only; they depend on the axis alone."""
-    operators = tuple(spinham.field_derivative_operator(p, Manifold.EXCITED, axis)
-                      for p in _UNIT_G_PARAMS)
-    for op in operators:
-        op.setflags(write=False)
-    return operators
-
-
 def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
     """Line centres (n_rows, 20) before the offset, one row per current of
     every sweep in order, and if asked their derivatives (n_rows, 20, 3) with
@@ -412,8 +394,9 @@ def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
     of spectra.zero_spin_centers.  The field is B = 0.1 scale I (mT) along
     the sweep's axis, and every Zeeman term is linear in B and in the g
     values, so Hellmann-Feynman gives each 171Yb derivative as an
-    expectation value <k|dH/dtheta|k> of a field_derivative_operator times
-    dB/dtheta.  All sixteen 171Yb lines carry one weight, so their summed
+    expectation value <k|dH/dtheta|k>: per unit excited g component, mu_B S
+    along the axis times B; for the scale, field_derivative_operator times
+    dB/dscale.  All sixteen 171Yb lines carry one weight, so their summed
     profile stays differentiable where levels cross, whichever eigenvectors
     eigh returns.
     """
@@ -434,11 +417,17 @@ def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
     g_e = params.g_excited
     b_unit_t = 1e-4 * currents                  # dB/dscale, tesla
     b_t = b_unit_t * row_scales
-    # dH/dB along each row's axis: per unit excited g_par, g_perp; ground
-    operators = np.repeat(
-        [(*_unit_g_operators(tuple(sweep.axis)),
-          spinham.field_derivative_operator(params, Manifold.GROUND, sweep.axis))
-         for sweep in sweeps], sizes, axis=0)
+    # dH/dB along each row's unit axis d: per unit excited g_par and g_perp,
+    # mu_B d_z S_z and mu_B (d_x S_x + d_y S_y); then the ground manifold's
+    sx, sy, sz = spinham.S_OPS
+    mu_b = CONSTANTS.mu_b_ghz_per_t
+    per_sweep = []
+    for sweep in sweeps:
+        d = sweep.axis / np.linalg.norm(sweep.axis)
+        per_sweep.append((mu_b * d[2] * sz, mu_b * (d[0] * sx + d[1] * sy),
+                          spinham.field_derivative_operator(params, Manifold.GROUND,
+                                                            sweep.axis)))
+    operators = np.repeat(per_sweep, sizes, axis=0)
     par_e = _expectations(v_e, operators[:, 0])
     perp_e = _expectations(v_e, operators[:, 1])
     de_e = np.stack([b_t[:, None] * par_e, b_t[:, None] * perp_e,

@@ -367,14 +367,20 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     # sequential; np.sum's pairwise order would round differently)
     totals = np.cumsum(line_weights, axis=1)[:, -1]
 
+    # I = 0 lines as zero_spin_lines makes them: four of a quarter of the
+    # share, or one of the whole share at a zero field
+    i0_share = zero_spin_fraction * totals
+    i0_centers = zero_spin_centers(params, b_vecs)
+    zero_field = _row_norms(b_vecs) == 0.0
     block = np.empty((fields.size, x.size))
-    for k, b in enumerate(fields):
-        i0 = zero_spin_lines(params, b * axis, 0.0, zero_spin_fraction * totals[k])
+    for k in range(fields.size):
+        if zero_field[k]:
+            i0_lines = ([0.0], [i0_share[k]])
+        else:
+            i0_lines = (i0_centers[k], np.full(4, i0_share[k] / 4.0))
         block[k] = (_kernels.gaussian_profile(x, centers[k], line_weights[k],
                                               fwhm_171_mhz * 1e-3)
-                    + _kernels.gaussian_profile(
-                        x, [ln.detuning_ghz for ln in i0],
-                        [ln.weight for ln in i0], fwhm_i0_mhz * 1e-3))
+                    + _kernels.gaussian_profile(x, *i0_lines, fwhm_i0_mhz * 1e-3))
     return SweepMap(fields, axis, x, block)
 
 
@@ -496,7 +502,7 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
     if not (np.isfinite(tol_mt) and tol_mt > 0):
         raise ValidationError("tol_mt must be positive and finite")
     direction = _direction_from_angles(theta_deg, phi_deg)
-    h0 = spinham.build_hamiltonian(params, manifold, (0.0, 0.0, 0.0))
+    h0 = spinham.zeeman_operators(params, manifold)[0]
     h1 = spinham.field_derivative_operator(params, manifold, direction) * 1e-3
     fields = _eigenfield_roots(h0, h1, nu, lo, hi)
     if fields.size == 0:

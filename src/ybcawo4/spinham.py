@@ -59,37 +59,51 @@ def product_operators():
     return S_OPS, I_OPS
 
 
-def _zeeman_factors(params: SpinSystemParams, manifold: Manifold,
-                    include_nuclear_zeeman: bool = True):
+_S_STACK = _read_only(np.stack(S_OPS))
+_I_STACK = _read_only(np.stack(I_OPS))
+# A_perp (Sx Ix + Sy Iy) and A_par Sz Iz per unit coupling
+_FLIP_FLOP = _read_only(S_OPS[0] @ I_OPS[0] + S_OPS[1] @ I_OPS[1])
+_AXIAL = _read_only(S_OPS[2] @ I_OPS[2])
+
+
+def zeeman_operators(params: SpinSystemParams, manifold: Manifold,
+                     include_nuclear_zeeman: bool = True):
+    """The read-only pair (H0, Z) of the manifold's H(B) = H0 + sum_a B_a Z_a.
+
+    H0 (4, 4) is the zero-field (hyperfine) Hamiltonian in GHz; Z (3, 4, 4)
+    holds Z_a = dH/dB_a = (mu_B/h) g_a S_a - (mu_n/h) g_n I_a in GHz/T, with
+    g_x = g_y = g_perp and g_z = g_par.  The only place the Zeeman term is
+    written; include_nuclear_zeeman=False drops its nuclear part.
+    """
+    a = params.a(manifold)
     g = params.g(manifold)
-    ze_par = g.parallel * CONSTANTS.mu_b_ghz_per_t
-    ze_perp = g.perpendicular * CONSTANTS.mu_b_ghz_per_t
+    h0 = a.perpendicular * _FLIP_FLOP + a.parallel * _AXIAL
+    ze = CONSTANTS.mu_b_ghz_per_t * np.array([g.perpendicular, g.perpendicular,
+                                              g.parallel])
     zn = params.g_n * CONSTANTS.mu_n_ghz_per_t if include_nuclear_zeeman else 0.0
-    return ze_par, ze_perp, zn
+    return _read_only(h0), _read_only(ze[:, None, None] * _S_STACK - zn * _I_STACK)
 
 
-def _builder_inputs(params: SpinSystemParams, manifold: Manifold, fields_mt,
-                    include_nuclear_zeeman: bool):
-    """Arguments of the _kernels builder for an (n, 3) field stack in mT."""
+def _fields_t(fields_mt) -> np.ndarray:
+    """An (n, 3) field stack in mT, checked, in tesla."""
     fields = np.asarray(fields_mt, dtype=float)
     if fields.ndim != 2 or fields.shape[1] != 3:
         raise ValidationError("fields must be an (n, 3) stack of 3-vectors")
     if not np.isfinite(fields).all():
         raise ValidationError("magnetic field components must be finite")
-    a = params.a(manifold)
-    ze_par, ze_perp, zn = _zeeman_factors(params, manifold, include_nuclear_zeeman)
-    return a.parallel, a.perpendicular, ze_par, ze_perp, zn, fields * 1e-3
+    return fields * 1e-3
 
 
 def hamiltonians(params: SpinSystemParams, manifold: Manifold, fields_mt,
                  include_nuclear_zeeman: bool = True) -> np.ndarray:
     """Stack (n, 4, 4) of Hermitian matrices in GHz over an (n, 3) field stack (mT).
 
-    The one place that turns parameters into Hamiltonians; manifold_energies
-    feeds the same checked inputs to the eigvalsh kernel.
+    The one place that turns parameters into Hamiltonians: the operator pair
+    of zeeman_operators through the raw-operator kernel.
     """
-    return _kernels.build_hamiltonians(
-        *_builder_inputs(params, manifold, fields_mt, include_nuclear_zeeman))
+    return _kernels.hamiltonians(
+        *zeeman_operators(params, manifold, include_nuclear_zeeman),
+        _fields_t(fields_mt))
 
 
 def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
@@ -103,14 +117,10 @@ def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
 
 def field_derivative_operator(params: SpinSystemParams, manifold: Manifold,
                               direction) -> np.ndarray:
-    """dH/dB along a unit direction, in GHz/T (== MHz/mT)."""
+    """dH/dB = d . Z along a unit direction d, in GHz/T (== MHz/mT)."""
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)
-    ze_par, ze_perp, zn = _zeeman_factors(params, manifold)
-    sx, sy, sz = S_OPS
-    ix, iy, iz = I_OPS
-    return (ze_perp * (d[0] * sx + d[1] * sy) + ze_par * d[2] * sz
-            - zn * (d[0] * ix + d[1] * iy + d[2] * iz))
+    return np.tensordot(d, zeeman_operators(params, manifold)[1], axes=1)
 
 
 @dataclass(frozen=True)
@@ -214,10 +224,11 @@ def eigensystem(params: SpinSystemParams, manifold: Manifold, b_mt=(0.0, 0.0, 0.
 
 def manifold_energies(params: SpinSystemParams, manifold: Manifold, fields_mt,
                       include_nuclear_zeeman: bool = True) -> np.ndarray:
-    """Ascending energies (n, 4) over a batch of fields (mT); the builder
-    inputs of hamiltonians, diagonalized by the eigvalsh kernel."""
-    return _kernels.manifold_energies(*_builder_inputs(
-        params, manifold, np.atleast_2d(fields_mt), include_nuclear_zeeman))
+    """Ascending energies (n, 4) over a batch of fields (mT); the inputs of
+    hamiltonians, diagonalized by the eigvalsh kernel."""
+    return _kernels.manifold_energies(
+        *zeeman_operators(params, manifold, include_nuclear_zeeman),
+        _fields_t(np.atleast_2d(fields_mt)))
 
 
 @dataclass(frozen=True)
@@ -297,7 +308,7 @@ def high_field_states(manifold: Manifold, b_parallel_mt: float,
     the electron Zeeman energy does not dominate the hyperfine coupling.
     """
     a = params.a(manifold)
-    ze_par, _, _ = _zeeman_factors(params, manifold)
+    ze_par = params.g(manifold).parallel * CONSTANTS.mu_b_ghz_per_t
     b_t = b_parallel_mt * 1e-3
     if warn and abs(ze_par * b_t) < 10.0 * max(abs(a.parallel), abs(a.perpendicular)):
         import warnings
@@ -321,18 +332,13 @@ def first_order_sensitivity(state, direction, params: SpinSystemParams,
 
 def magnetic_dipole_operator(params: SpinSystemParams, manifold: Manifold,
                              bac_direction) -> np.ndarray:
-    """-(g-weighted B_ac.S - (mu_n/mu_B) g_n B_ac.I) for a unit ac field.
+    """-d . Z / mu_B for a unit ac field direction d, that is
+    -(g-weighted d.S - (mu_n/mu_B) g_n d.I).
 
     Matrix elements are transition dipole amplitudes in units of mu_B.
     """
-    d = np.asarray(bac_direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    g = params.g(manifold)
-    sx, sy, sz = S_OPS
-    ix, iy, iz = I_OPS
-    nuclear = CONSTANTS.mu_n_over_mu_b * params.g_n
-    return -(g.perpendicular * (d[0] * sx + d[1] * sy) + g.parallel * d[2] * sz
-             - nuclear * (d[0] * ix + d[1] * iy + d[2] * iz))
+    return (field_derivative_operator(params, manifold, bac_direction)
+            / -CONSTANTS.mu_b_ghz_per_t)
 
 
 def transition_magnetic_dipole(state_i, state_j, bac_direction,
@@ -346,18 +352,10 @@ def transition_magnetic_dipole(state_i, state_j, bac_direction,
     return complex(vi.conj() @ op @ vj)
 
 
-_AXES = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-
-
 def _sensitivities(params, manifold, eig: EigenSystem) -> np.ndarray:
-    """(4, 3) array of per-level slopes along x, y, z in MHz/mT."""
-    out = np.empty((4, 3))
-    for a, axis in enumerate(_AXES):
-        op = field_derivative_operator(params, manifold, axis)
-        for k in range(4):
-            v = eig.states[:, k]
-            out[k, a] = np.real(v.conj() @ op @ v)
-    return out
+    """(4, 3) array of per-level slopes <k|Z_a|k> along x, y, z in MHz/mT."""
+    zeeman = zeeman_operators(params, manifold)[1]
+    return np.einsum("ak,xab,bk->kx", eig.states.conj(), zeeman, eig.states).real
 
 
 def find_clock_transitions(params: SpinSystemParams, b0_mt=(0.0, 0.0, 0.0),

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ybcawo4 import dynamics as dyn
 from ybcawo4 import fitting as ft
 from ybcawo4.errors import DomainError, ValidationError
-from ybcawo4.params import default_params
+from ybcawo4.params import Manifold, default_params, g_tensor
 
 PARAMS = default_params()
 
@@ -375,27 +377,20 @@ class TestRoundTripIdentifiability:
 def _reference_sweep_prediction(sweeps, params, spec, p_vector):
     """The sweep model as one eigvalsh and two Gaussian calls per current:
     the loop the batched ft._sweep_model replaced, kept as its reference."""
-    from ybcawo4 import _kernels
+    from ybcawo4 import _kernels, spinham
     from ybcawo4.constants import CONSTANTS
 
     n_sweeps = len(sweeps)
     g_par_e, g_perp_e = p_vector[0], p_vector[1]
     scales = p_vector[2:2 + n_sweeps]
     amp171, amp_i0, offset = p_vector[2 + n_sweeps:5 + n_sweeps]
-    a_g = params.a_ground
-    a_e = params.a_excited
+    trial = replace(params, g_excited=g_tensor(g_par_e, g_perp_e), g_n=0.0)
     mu = CONSTANTS.mu_b_ghz_per_t
     blocks = []
     for sweep, scale in zip(sweeps, scales):
-        fields_t = (0.1 * scale * sweep.currents_a)[:, None] * 1e-3 \
-            * sweep.axis[None, :]
-        e_g = _kernels.manifold_energies(
-            a_g.parallel, a_g.perpendicular,
-            params.g_ground.parallel * mu, params.g_ground.perpendicular * mu,
-            0.0, fields_t)
-        e_e = _kernels.manifold_energies(
-            a_e.parallel, a_e.perpendicular, g_par_e * mu, g_perp_e * mu,
-            0.0, fields_t)
+        fields_mt = (0.1 * scale * sweep.currents_a)[:, None] * sweep.axis[None, :]
+        e_g = spinham.manifold_energies(trial, Manifold.GROUND, fields_mt)
+        e_e = spinham.manifold_energies(trial, Manifold.EXCITED, fields_mt)
         d = sweep.axis
         g_eff_g = np.sqrt((params.g_ground.parallel * d[2]) ** 2
                           + params.g_ground.perpendicular**2 * (d[0]**2 + d[1]**2))
@@ -475,14 +470,10 @@ class TestBatchedSweepModel:
             assert np.max(np.abs(numeric - jac[:, k])) <= 1e-8 * scale, k
 
     def test_crossing_current_is_near_a_level_crossing(self):
-        from ybcawo4 import _kernels
-        from ybcawo4.constants import CONSTANTS
-        mu = CONSTANTS.mu_b_ghz_per_t
-        a_e, g_e = self.PARAMS.a_excited, self.PARAMS.g_excited
-        energies = _kernels.manifold_energies(
-            a_e.parallel, a_e.perpendicular, g_e.parallel * mu,
-            g_e.perpendicular * mu, 0.0,
-            [(0.0, 0.0, 0.1 * 150.0 * CROSSING_CURRENT_A * 1e-3)])
+        from ybcawo4 import spinham
+        energies = spinham.manifold_energies(
+            replace(self.PARAMS, g_n=0.0), Manifold.EXCITED,
+            [(0.0, 0.0, 0.1 * 150.0 * CROSSING_CURRENT_A)])
         assert np.min(np.diff(energies[0])) < 1e-4
 
     def test_block_size_does_not_change_results(self, monkeypatch):

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ybcawo4 import spinham as sh
 from ybcawo4.constants import CONSTANTS
@@ -411,3 +414,139 @@ def test_vectorised_phase_convention_equals_per_column_loop():
         for k in range(4):
             assert np.array_equal(fixed[row, :, k],
                                   _reference_fix_phase(vectors[row, :, k]))
+
+
+# --- the Zeeman forms that zeeman_operators replaced, kept as references ----
+
+def _reference_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
+    """The hand-typed stack builder: ze = g mu_B/h, zn = g_n mu_n/h (GHz/T)."""
+    fields_t = np.atleast_2d(np.asarray(fields_t, dtype=np.float64))
+    n = fields_t.shape[0]
+    bx, by, bz = fields_t[:, 0], fields_t[:, 1], fields_t[:, 2]
+    h = np.zeros((n, 4, 4), dtype=np.complex128)
+    gz = ze_par * bz
+    nz = zn * bz
+    h[:, 0, 0] = a_par / 4.0 + gz / 2.0 - nz / 2.0
+    h[:, 1, 1] = -a_par / 4.0 + gz / 2.0 + nz / 2.0
+    h[:, 2, 2] = -a_par / 4.0 - gz / 2.0 - nz / 2.0
+    h[:, 3, 3] = a_par / 4.0 - gz / 2.0 + nz / 2.0
+    # electron-nuclear flip-flop
+    h[:, 1, 2] = a_perp / 2.0
+    h[:, 2, 1] = a_perp / 2.0
+    # transverse electron Zeeman (electron flip, nucleus spectator)
+    et = ze_perp * (bx - 1j * by) / 2.0
+    h[:, 0, 2] = et
+    h[:, 2, 0] = np.conj(et)
+    h[:, 1, 3] = et
+    h[:, 3, 1] = np.conj(et)
+    # transverse nuclear Zeeman (nucleus flip, electron spectator)
+    nt = -zn * (bx - 1j * by) / 2.0
+    h[:, 0, 1] = nt
+    h[:, 1, 0] = np.conj(nt)
+    h[:, 2, 3] = nt
+    h[:, 3, 2] = np.conj(nt)
+    return h
+
+
+def _reference_field_derivative(params, manifold, direction):
+    """dH/dB along a unit direction as a sum of S and I operators (GHz/T)."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    g = params.g(manifold)
+    ze_par = g.parallel * CONSTANTS.mu_b_ghz_per_t
+    ze_perp = g.perpendicular * CONSTANTS.mu_b_ghz_per_t
+    zn = params.g_n * CONSTANTS.mu_n_ghz_per_t
+    sx, sy, sz = sh.S_OPS
+    ix, iy, iz = sh.I_OPS
+    return (ze_perp * (d[0] * sx + d[1] * sy) + ze_par * d[2] * sz
+            - zn * (d[0] * ix + d[1] * iy + d[2] * iz))
+
+
+def _reference_dipole(params, manifold, direction):
+    """-(g-weighted d.S - (mu_n/mu_B) g_n d.I) for a unit direction, in mu_B."""
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    g = params.g(manifold)
+    sx, sy, sz = sh.S_OPS
+    ix, iy, iz = sh.I_OPS
+    nuclear = CONSTANTS.mu_n_over_mu_b * params.g_n
+    return -(g.perpendicular * (d[0] * sx + d[1] * sy) + g.parallel * d[2] * sz
+             - nuclear * (d[0] * ix + d[1] * iy + d[2] * iz))
+
+
+def _assert_rows_close(got, ref, rel=1e-14):
+    """Each matrix of got within rel times the Frobenius norm of ref's."""
+    got, ref = np.atleast_3d(got), np.atleast_3d(ref)
+    assert got.shape == ref.shape
+    diff = np.linalg.norm(got - ref, axis=(-2, -1))
+    assert np.all(diff <= rel * np.linalg.norm(ref, axis=(-2, -1))), diff.max()
+
+
+def _random_params(rng):
+    return replace(PARAMS,
+                   g_ground=g_tensor(*rng.uniform(-4, 4, 2)),
+                   g_excited=g_tensor(*rng.uniform(-4, 4, 2)),
+                   a_ground=a_tensor(*rng.uniform(-5, 5, 2)),
+                   a_excited=a_tensor(*rng.uniform(-5, 5, 2)),
+                   g_n=rng.uniform(-2, 2))
+
+
+def test_operator_pair_matches_hand_typed_forms():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        params = _random_params(rng)
+        fields = np.concatenate([rng.uniform(-500, 500, size=(16, 3)),
+                                 rng.uniform(-0.5, 0.5, size=(4, 3))])
+        direction = rng.normal(size=3)
+        for manifold in Manifold:
+            a, g = params.a(manifold), params.g(manifold)
+            mu_b = CONSTANTS.mu_b_ghz_per_t
+            for nuclear in (True, False):
+                zn = params.g_n * CONSTANTS.mu_n_ghz_per_t if nuclear else 0.0
+                ref = _reference_hamiltonians(a.parallel, a.perpendicular,
+                                              g.parallel * mu_b, g.perpendicular * mu_b,
+                                              zn, fields * 1e-3)
+                _assert_rows_close(sh.hamiltonians(params, manifold, fields, nuclear),
+                                   ref)
+            _assert_rows_close(sh.field_derivative_operator(params, manifold, direction),
+                               _reference_field_derivative(params, manifold, direction))
+            _assert_rows_close(sh.magnetic_dipole_operator(params, manifold, direction),
+                               _reference_dipole(params, manifold, direction))
+
+
+def test_zeeman_operators_are_the_read_only_zero_field_and_slope_pair():
+    h0, zeeman = sh.zeeman_operators(PARAMS, Manifold.EXCITED)
+    assert h0.shape == (4, 4) and zeeman.shape == (3, 4, 4)
+    assert np.array_equal(h0, sh.build_hamiltonian(PARAMS, Manifold.EXCITED,
+                                                   (0.0, 0.0, 0.0)))
+    for a, axis in enumerate(np.eye(3)):
+        assert np.array_equal(zeeman[a], sh.field_derivative_operator(
+            PARAMS, Manifold.EXCITED, axis))
+    with pytest.raises(ValueError):
+        zeeman[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        h0[0, 0] = 1.0
+    _, electronic = sh.zeeman_operators(PARAMS, Manifold.EXCITED, False)
+    g = PARAMS.g_excited
+    assert np.array_equal(electronic[2], CONSTANTS.mu_b_ghz_per_t * g.parallel
+                          * sh.S_OPS[2])
+
+
+# Field components up to 1e12 mT: any larger and H(B1 + B2) may overflow
+_FIELD_COMPONENTS = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(b1=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)),
+                    elements=_FIELD_COMPONENTS),
+       data=st.data(), manifold=st.sampled_from(Manifold), nuclear=st.booleans())
+def test_hamiltonians_hermitian_and_affine_in_field(b1, data, manifold, nuclear):
+    b2 = data.draw(hnp.arrays(np.float64, b1.shape, elements=_FIELD_COMPONENTS))
+    h0 = sh.zeeman_operators(PARAMS, manifold, nuclear)[0]
+    h1, h2, h12 = (sh.hamiltonians(PARAMS, manifold, b, nuclear)
+                   for b in (b1, b2, b1 + b2))
+    scale = max(np.abs(h).max() for h in (h0, h1, h2, h12))
+    eps = np.finfo(float).eps
+    for h in (h1, h2, h12):
+        assert np.abs(h - h.conj().transpose(0, 2, 1)).max() <= 4 * eps * scale
+    assert np.abs(h1 + h2 - h12 - h0).max() <= 16 * eps * scale
