@@ -389,28 +389,23 @@ def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
     respect to the excited g_parallel, g_perpendicular and the scale of the
     row's own sweep.
 
-    params carry the trial excited g tensor and g_n = 0.  Columns 0-15 are
-    the 171Yb lines e_e[j] - e_g[i] (column 4 i + j), 16-19 the I = 0 lines
-    of spectra.zero_spin_centers.  The field is B = 0.1 scale I (mT) along
-    the sweep's axis, and every Zeeman term is linear in B and in the g
-    values, so Hellmann-Feynman gives each 171Yb derivative as an
-    expectation value <k|dH/dtheta|k>: per unit excited g component, mu_B S
-    along the axis times B; for the scale, field_derivative_operator times
-    dB/dscale.  All sixteen 171Yb lines carry one weight, so their summed
-    profile stays differentiable where levels cross, whichever eigenvectors
-    eigh returns.
+    params carry the trial excited g tensor and g_n = 0.  The columns are
+    those of spectra.optical_lines (one call over every row).  The field is
+    B = 0.1 scale I (mT) along the sweep's axis, and every Zeeman term is
+    linear in B and in the g values, so Hellmann-Feynman gives each 171Yb
+    derivative as an expectation value <k|dH/dtheta|k>: per unit excited g
+    component, mu_B S along the axis times B; for the scale,
+    field_derivative_operator times dB/dscale.  All sixteen 171Yb lines
+    carry one weight, so their summed profile stays differentiable where
+    levels cross, whichever eigenvectors span a degenerate pair.
     """
     sizes = [sweep.currents_a.size for sweep in sweeps]
     currents = np.concatenate([sweep.currents_a for sweep in sweeps])
     axes = np.repeat([sweep.axis for sweep in sweeps], sizes, axis=0)
     row_scales = np.repeat(scales, sizes)
     fields_mt = (0.1 * row_scales * currents)[:, None] * axes
-    e_g, v_g = np.linalg.eigh(spinham.hamiltonians(params, Manifold.GROUND, fields_mt))
-    e_e, v_e = np.linalg.eigh(spinham.hamiltonians(params, Manifold.EXCITED, fields_mt))
+    centres, (v_g, v_e) = spectra.optical_lines(params, fields_mt)
     n = currents.size
-    centres = np.empty((n, 20))
-    centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
-    centres[:, 16:] = spectra.zero_spin_centers(params, fields_mt)
     if not derivatives:
         return centres, None
 
@@ -521,14 +516,9 @@ def simulate_current_sweep(params: SpinSystemParams, axis, currents_a,
                            offset_ghz: float = 0.0) -> SweepData:
     """Forward model of a current sweep with the given true parameters."""
     spec = spec or FieldSweepFitSpec()
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = spectra._unit_axis(axis)
     currents = np.asarray(currents_a, dtype=float)
-    if isinstance(grid, tuple):
-        lo, hi, n = grid
-        x = np.linspace(lo, hi, int(n))
-    else:
-        x = np.asarray(grid, dtype=float)
+    x = spectra._grid_points(grid)
     sweep = SweepData(currents, axis, x, np.zeros((currents.size, x.size)))
     p_vector = np.array([params.g_excited.parallel, params.g_excited.perpendicular,
                          scale_g_per_a, amplitude_171, amplitude_i0, offset_ghz])

@@ -187,20 +187,14 @@ def zero_spin_centers(params: SpinSystemParams, fields_mt,
     return centers
 
 
-def zero_spin_lines(params: SpinSystemParams, b_mt, offset_ghz: float = 0.0,
-                    total_weight: float = 1.0) -> list[TransitionLine]:
-    """Optical lines of the I=0 isotopes: pure electron Zeeman doublets.
-
-    Four lines of weight total_weight / 4 at the zero_spin_centers, or one
-    line at the offset at zero field.
-    """
-    b = np.asarray(b_mt, dtype=float)
-    if np.linalg.norm(b) == 0.0:
-        return [TransitionLine(1, 1, offset_ghz, total_weight, isotope="I0")]
-    centers = zero_spin_centers(params, b, offset_ghz)[0]
-    return [TransitionLine(i, j, float(centers[2 * i + j - 3]),
-                           total_weight / 4.0, isotope="I0")
-            for i in (1, 2) for j in (1, 2)]
+def _unit_axis(axis) -> np.ndarray:
+    """A sweep axis as a unit 3-vector; rejects a zero, non-finite or
+    wrongly shaped one by name before normalising it."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis) if axis.shape == (3,) else 0.0
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValidationError("axis must be a finite, non-zero 3-vector")
+    return axis / norm
 
 
 def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | None:
@@ -213,33 +207,99 @@ def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | N
         raise ValidationError(f"unknown branching table {weights!r}") from None
 
 
+def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0,
+                  include_nuclear_zeeman: bool = True):
+    """Optical line centres (n, 20) in GHz over an (n, 3) field stack in mT,
+    and the eigenvector stacks (s_g, s_e) of the two manifolds.
+
+    Column 4 (i - 1) + (j - 1) is the 171Yb line from ground level i to
+    excited level j, e_e[j] - e_g[i]; columns 16-19 are the I = 0 lines of
+    zero_spin_centers at offset_ghz.  One spinham.eigensystems call per
+    manifold, so s_g[r, :, i - 1] is ground level i of row r.  The one place
+    that forms e_e - e_g; the catalog, the sweep map and the sweep fit all
+    read their lines from it.
+    """
+    e_g, s_g = spinham.eigensystems(params, Manifold.GROUND, fields_mt,
+                                    include_nuclear_zeeman)
+    e_e, s_e = spinham.eigensystems(params, Manifold.EXCITED, fields_mt,
+                                    include_nuclear_zeeman)
+    n = e_g.shape[0]
+    centres = np.empty((n, 20))
+    centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
+    centres[:, 16:] = zero_spin_centers(params, fields_mt, offset_ghz)
+    return centres, (s_g, s_e)
+
+
+# level (0-based) -> branching group, for indexing a 3x3 table into 4x4
+_GROUND_GROUPS = np.array([GROUND_GROUP_OF_LEVEL[k] for k in range(1, 5)])
+_EXCITED_GROUPS = np.array([EXCITED_GROUP_OF_LEVEL[k] for k in range(1, 5)])
+
+
+def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
+                  fields_mt: np.ndarray, zero_spin_fraction: float,
+                  mixed_states=None, include_nuclear_zeeman: bool = True) -> np.ndarray:
+    """Weights (n, 20) of the optical_lines columns over an (n, 3) field stack.
+
+    171Yb lines carry the table weight of their level groups (1 with no
+    table).  With mixed_states, the (s_g, s_e) of optical_lines, the weights
+    follow the field-induced mixing incoherently:
+    w_ij(B) = sum_kl |<i(B)|k(0)>|^2 |<j(B)|l(0)>|^2 w_kl(0).  The I = 0
+    lines share zero_spin_fraction times the left-to-right sum of the 16
+    weights (cumsum is sequential; np.sum's pairwise order would round
+    differently), a quarter each, or all of it on column 16 at a zero field,
+    where the four I = 0 lines coincide.
+    """
+    n = fields_mt.shape[0]
+    w0 = (np.ones((4, 4)) if table is None
+          else table.weights[_GROUND_GROUPS][:, _EXCITED_GROUPS])
+    weights = np.empty((n, 20))
+    if mixed_states is not None and table is not None:
+        s_g, s_e = mixed_states
+        g0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
+                                 include_nuclear_zeeman).states
+        x0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
+                                 include_nuclear_zeeman).states
+        og = np.abs(s_g.conj().transpose(0, 2, 1) @ g0) ** 2   # [i(B), k(0)]
+        oe = np.abs(s_e.conj().transpose(0, 2, 1) @ x0) ** 2
+        weights[:, :16] = (og @ w0 @ oe.transpose(0, 2, 1)).reshape(n, 16)
+    else:
+        weights[:, :16] = w0.reshape(16)
+    share = zero_spin_fraction * np.cumsum(weights[:, :16], axis=1)[:, -1]
+    weights[:, 16:] = (share / 4.0)[:, None]
+    zero_field = _row_norms(fields_mt) == 0.0
+    weights[zero_field, 16] = share[zero_field]
+    weights[zero_field, 17:] = 0.0
+    return weights
+
+
 def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
                        weights: BranchingTable | str | None = None,
                        include_zero_spin: bool = True,
                        zero_spin_offset_ghz: float = 0.0,
                        zero_spin_fraction: float = DEFAULT_I0_FRACTION,
                        include_nuclear_zeeman: bool = True) -> list[TransitionLine]:
-    """All optical lines at one field: 16 hyperfine lines plus 4 zero-spin ones.
+    """All optical lines at one field: 16 hyperfine lines plus 4 zero-spin
+    ones, or one zero-spin line of the whole I = 0 weight at zero field.
 
     weights: None for equal line strengths, a BranchingTable, or one of the
-    measured-polarization names ("sigma", "pi", "alpha").
+    measured-polarization names ("sigma", "pi", "alpha").  One row of
+    optical_lines and _line_weights.
     """
-    weights = _branching_table(weights)
-    e_g = spinham.eigensystem(params, Manifold.GROUND, b_mt,
-                              include_nuclear_zeeman).energies
-    e_e = spinham.eigensystem(params, Manifold.EXCITED, b_mt,
-                              include_nuclear_zeeman).energies
-    pol = weights.polarization if weights is not None else None
-    lines = []
-    total = 0.0
-    for i in range(1, 5):
-        for j in range(1, 5):
-            w = weights.line_weight(i, j) if weights is not None else 1.0
-            total += w
-            lines.append(TransitionLine(i, j, float(e_e[j - 1] - e_g[i - 1]), w, pol))
+    table = _branching_table(weights)
+    b = np.asarray(b_mt, dtype=float)
+    if b.shape != (3,):
+        raise ValidationError("magnetic field must be a 3-vector")
+    centres, _ = optical_lines(params, b[None], zero_spin_offset_ghz,
+                               include_nuclear_zeeman)
+    line_weights = _line_weights(params, table, b[None], zero_spin_fraction)
+    pol = table.polarization if table is not None else None
+    lines = [TransitionLine(k // 4 + 1, k % 4 + 1, float(centres[0, k]),
+                            float(line_weights[0, k]), pol) for k in range(16)]
     if include_zero_spin:
-        lines.extend(zero_spin_lines(params, b_mt, zero_spin_offset_ghz,
-                                     zero_spin_fraction * total))
+        n_i0 = 1 if _row_norms(b[None])[0] == 0.0 else 4
+        lines += [TransitionLine(k // 2 + 1, k % 2 + 1, float(centres[0, 16 + k]),
+                                 float(line_weights[0, 16 + k]), isotope="I0")
+                  for k in range(n_i0)]
     return lines
 
 
@@ -303,14 +363,6 @@ def label_line_clusters(lines, resolution_ghz: float) -> list[LineCluster]:
     return out
 
 
-def _group_weights(table: BranchingTable | None) -> np.ndarray:
-    """(4, 4) per-level weights [ground level, excited level] of a table."""
-    if table is None:
-        return np.ones((4, 4))
-    return np.array([[table.line_weight(i, j) for j in range(1, 5)]
-                     for i in range(1, 5)])
-
-
 def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
                     weights: BranchingTable | str | None = None,
                     mixed_weights: bool = False,
@@ -325,12 +377,13 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     used for simulated sweep overlays).  Mixing is incoherent:
     w_ij(B) = sum_kl |<i(B)|k(0)>|^2 |<j(B)|l(0)>|^2 w_kl(0), per level.
 
-    Each manifold is diagonalized once over the whole field stack; the
-    result equals the per-field transition_catalog / synthesize_spectrum
-    path bit for bit.
+    The lines are one optical_lines call over the field stack, weighted by
+    _line_weights; only the two Gaussian sums (171Yb, I = 0) run once per
+    field.  The result equals, bit for bit, the per-field loop over the old
+    catalog and synthesize_spectrum that tests/test_spectra.py keeps as
+    _reference_sweep_map.
     """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = _unit_axis(axis)
     if np.isscalar(field_values_mt):
         raise ValidationError("field_values_mt must be a sequence")
     fields = np.asarray(field_values_mt, dtype=float)
@@ -343,44 +396,18 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     if (x.ndim != 1 or np.any(steps <= 0)
             or not np.allclose(steps, steps[0], rtol=1e-9)):
         raise ValidationError("detuning grid must be uniform and increasing")
-    weights = _branching_table(weights)
+    table = _branching_table(weights)
 
     b_vecs = fields[:, None] * axis[None, :]
-    e_g, s_g = spinham.eigensystems(params, Manifold.GROUND, b_vecs,
-                                    include_nuclear_zeeman)
-    e_e, s_e = spinham.eigensystems(params, Manifold.EXCITED, b_vecs,
-                                    include_nuclear_zeeman)
-    # line (i, j) of field k: centers[k, 4 i + j] = E_e[j] - E_g[i]
-    centers = (e_e[:, None, :] - e_g[:, :, None]).reshape(fields.size, 16)
-    w0 = _group_weights(weights)
-    if mixed_weights and weights is not None:
-        g0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
-                                 include_nuclear_zeeman).states
-        x0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
-                                 include_nuclear_zeeman).states
-        og = np.abs(s_g.conj().transpose(0, 2, 1) @ g0) ** 2   # [i(B), k(0)]
-        oe = np.abs(s_e.conj().transpose(0, 2, 1) @ x0) ** 2
-        line_weights = (og @ w0 @ oe.transpose(0, 2, 1)).reshape(fields.size, 16)
-    else:
-        line_weights = np.broadcast_to(w0.reshape(16), (fields.size, 16))
-    # the I0 share follows a left-to-right sum over the 16 lines (cumsum is
-    # sequential; np.sum's pairwise order would round differently)
-    totals = np.cumsum(line_weights, axis=1)[:, -1]
-
-    # I = 0 lines as zero_spin_lines makes them: four of a quarter of the
-    # share, or one of the whole share at a zero field
-    i0_share = zero_spin_fraction * totals
-    i0_centers = zero_spin_centers(params, b_vecs)
-    zero_field = _row_norms(b_vecs) == 0.0
+    centres, states = optical_lines(params, b_vecs,
+                                    include_nuclear_zeeman=include_nuclear_zeeman)
+    line_weights = _line_weights(params, table, b_vecs, zero_spin_fraction,
+                                 states if mixed_weights else None,
+                                 include_nuclear_zeeman)
     block = np.empty((fields.size, x.size))
-    for k in range(fields.size):
-        if zero_field[k]:
-            i0_lines = ([0.0], [i0_share[k]])
-        else:
-            i0_lines = (i0_centers[k], np.full(4, i0_share[k] / 4.0))
-        block[k] = (_kernels.gaussian_profile(x, centers[k], line_weights[k],
-                                              fwhm_171_mhz * 1e-3)
-                    + _kernels.gaussian_profile(x, *i0_lines, fwhm_i0_mhz * 1e-3))
+    for k, (c, w) in enumerate(zip(centres, line_weights)):
+        block[k] = (_kernels.gaussian_profile(x, c[:16], w[:16], fwhm_171_mhz * 1e-3)
+                    + _kernels.gaussian_profile(x, c[16:], w[16:], fwhm_i0_mhz * 1e-3))
     return SweepMap(fields, axis, x, block)
 
 

@@ -149,12 +149,13 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # hypot rounds like abs() of one complex scalar; np.abs of a complex
     # array may take a vectorised path that differs in the last bit
     magnitude = np.hypot(vectors.real, vectors.imag)
-    anchor = np.argmax(magnitude, axis=-2)[..., None, :]
-    peak = np.take_along_axis(vectors, anchor, axis=-2)
-    out = vectors / (peak / np.take_along_axis(magnitude, anchor, axis=-2))
+    anchor = np.argmax(magnitude, axis=-2)
+    # the anchor component of every column, as one fancy index
+    index = np.indices(anchor.shape, sparse=True)
+    at = (*index[:-1], anchor, index[-1])
+    out = vectors / (vectors[at] / magnitude[at])[..., None, :]
     # scrub the residual imaginary dust on the anchor component
-    np.put_along_axis(out, anchor, np.take_along_axis(out, anchor, axis=-2).real,
-                      axis=-2)
+    out[at] = out[at].real
     return out
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -309,6 +310,22 @@ class TestFieldSweepFit:
             ft.fit_field_sweep([sweep], ft.FieldSweepFitSpec(
                 scales_g_per_a=(160.0, 140.0)), params)
 
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0),
+                                      (0.0, -np.inf, 0.0), (1.0, 0.0)])
+    def test_simulation_rejects_a_bad_axis_by_name(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no RuntimeWarning on the way
+            with pytest.raises(ValidationError,
+                               match="axis must be a finite, non-zero 3-vector"):
+                ft.simulate_current_sweep(PARAMS, axis, np.linspace(1, 5, 5),
+                                          166.2, (-2, 2, 50))
+
+    @pytest.mark.parametrize("grid", [(-1, 1, 1), (1, -1, 100), (1, 1, 100)])
+    def test_simulation_rejects_a_bad_grid(self, grid):
+        with pytest.raises(ValidationError, match="grid"):
+            ft.simulate_current_sweep(PARAMS, (1, 0, 0), np.linspace(1, 5, 5),
+                                      166.2, grid)
+
 
 class TestPhotometrics:
     def test_oscillator_strength_against_published_value(self):
@@ -432,6 +449,25 @@ def _sweep_p_vector(n_sweeps):
     return np.array([-1.451, 1.361, *scales, 1.1, 0.9, 0.03])
 
 
+def _reference_sweep_centres(sweeps, params, scales):
+    """The centre assembly _sweep_lines made before spectra.optical_lines:
+    one raw eigh per manifold over every row, e_e[j] - e_g[i] in column
+    4 i + j and the I = 0 centres after them, kept as its reference."""
+    from ybcawo4 import spectra, spinham
+
+    currents = np.concatenate([sweep.currents_a for sweep in sweeps])
+    sizes = [sweep.currents_a.size for sweep in sweeps]
+    axes = np.repeat([sweep.axis for sweep in sweeps], sizes, axis=0)
+    fields_mt = (0.1 * np.repeat(scales, sizes) * currents)[:, None] * axes
+    e_g, _ = np.linalg.eigh(spinham.hamiltonians(params, Manifold.GROUND, fields_mt))
+    e_e, _ = np.linalg.eigh(spinham.hamiltonians(params, Manifold.EXCITED, fields_mt))
+    n = currents.size
+    centres = np.empty((n, 20))
+    centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
+    centres[:, 16:] = spectra.zero_spin_centers(params, fields_mt)
+    return centres
+
+
 class TestBatchedSweepModel:
     SPEC = ft.FieldSweepFitSpec()
     PARAMS = default_params("field-sweep-fit")
@@ -445,6 +481,17 @@ class TestBatchedSweepModel:
         batched = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
         # summation order and eigh vs eigvalsh differ in the last bits only
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(reference)
+
+    def test_line_centres_equal_the_raw_eigh_assembly(self):
+        currents = np.sort(np.append(np.linspace(0.5, 10.0, 7), CROSSING_CURRENT_A))
+        sweeps = [_blank_sweep(SWEEP_AXES[name], currents)
+                  for name in ("a", "c", "oblique")]
+        p = _sweep_p_vector(3)
+        trial = replace(self.PARAMS, g_excited=g_tensor(p[0], p[1]), g_n=0.0)
+        reference = _reference_sweep_centres(sweeps, trial, p[2:5])
+        for derivatives in (False, True):
+            centres, _ = ft._sweep_lines(sweeps, trial, p[2:5], derivatives)
+            assert np.array_equal(centres, reference)
 
     def test_jacobian_matches_central_differences(self):
         currents = np.sort(np.append(np.linspace(0.5, 10.0, 7), CROSSING_CURRENT_A))

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -196,12 +197,52 @@ def _reference_mixed_weight_table(params, b_mt, table, include_nuclear_zeeman):
     return og @ w0 @ oe.T
 
 
+# --- the per-field catalog that optical_lines replaced, kept as a reference --
+
+def _reference_zero_spin_lines(params, b_mt, offset_ghz, total_weight):
+    """The old zero_spin_lines: four lines of total_weight / 4 at the per-field
+    I = 0 centres, or one line of the whole weight at the offset at zero field."""
+    b = np.asarray(b_mt, dtype=float)
+    if np.linalg.norm(b) == 0.0:
+        return [sp.TransitionLine(1, 1, offset_ghz, total_weight, isotope="I0")]
+    centers = _reference_zero_spin_centers(params, b, offset_ghz)
+    return [sp.TransitionLine(i, j, float(centers[2 * i + j - 3]),
+                              total_weight / 4.0, isotope="I0")
+            for i in (1, 2) for j in (1, 2)]
+
+
+def _reference_catalog(params, b_mt=(0.0, 0.0, 0.0), weights=None,
+                       include_zero_spin=True, zero_spin_offset_ghz=0.0,
+                       zero_spin_fraction=sp.DEFAULT_I0_FRACTION,
+                       include_nuclear_zeeman=True):
+    """The old transition_catalog body: one eigensystem per manifold at one
+    field, a nested loop over the level pairs and a running weight total."""
+    if isinstance(weights, str):
+        weights = sp.MEASURED_BRANCHING[weights]
+    e_g = spinham.eigensystem(params, Manifold.GROUND, b_mt,
+                              include_nuclear_zeeman).energies
+    e_e = spinham.eigensystem(params, Manifold.EXCITED, b_mt,
+                              include_nuclear_zeeman).energies
+    pol = weights.polarization if weights is not None else None
+    lines = []
+    total = 0.0
+    for i in range(1, 5):
+        for j in range(1, 5):
+            w = weights.line_weight(i, j) if weights is not None else 1.0
+            total += w
+            lines.append(sp.TransitionLine(i, j, float(e_e[j - 1] - e_g[i - 1]), w, pol))
+    if include_zero_spin:
+        lines.extend(_reference_zero_spin_lines(params, b_mt, zero_spin_offset_ghz,
+                                                zero_spin_fraction * total))
+    return lines
+
+
 def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
                          mixed_weights=False, fwhm_171_mhz=136.0,
                          fwhm_i0_mhz=153.0,
                          zero_spin_fraction=sp.DEFAULT_I0_FRACTION,
                          include_nuclear_zeeman=True):
-    """The per-field loop over transition_catalog and synthesize_spectrum."""
+    """The per-field loop over the old catalog and synthesize_spectrum."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     fields = np.asarray(field_values_mt, dtype=float)
@@ -215,7 +256,7 @@ def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
         if mixed_weights and weights is not None:
             w = _reference_mixed_weight_table(params, b_vec, weights,
                                               include_nuclear_zeeman)
-            lines = sp.transition_catalog(
+            lines = _reference_catalog(
                 params, b_vec, None, include_zero_spin=False,
                 include_nuclear_zeeman=include_nuclear_zeeman)
             lines = [sp.TransitionLine(
@@ -223,10 +264,10 @@ def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
                 float(w[ln.ground_index - 1, ln.excited_index - 1]),
                 weights.polarization) for ln in lines]
             total = sum(ln.weight for ln in lines)
-            lines += sp.zero_spin_lines(params, b_vec, 0.0,
-                                        zero_spin_fraction * total)
+            lines += _reference_zero_spin_lines(params, b_vec, 0.0,
+                                                zero_spin_fraction * total)
         else:
-            lines = sp.transition_catalog(
+            lines = _reference_catalog(
                 params, b_vec, weights, zero_spin_fraction=zero_spin_fraction,
                 include_nuclear_zeeman=include_nuclear_zeeman)
         yb = [ln for ln in lines if ln.isotope == "171Yb"]
@@ -309,7 +350,9 @@ class TestZeroSpinCenters:
             for row, b in enumerate(fields):
                 reference = _reference_zero_spin_centers(params, b, offset)
                 assert got[row].tolist() == reference
-            lines = sp.zero_spin_lines(params, fields[0], offset, 2.0)
+            lines = [ln for ln in sp.transition_catalog(
+                params, fields[0], zero_spin_offset_ghz=offset,
+                zero_spin_fraction=0.125) if ln.isotope == "I0"]
             assert [ln.detuning_ghz for ln in lines] == got[0].tolist()
             assert [(ln.ground_index, ln.excited_index, ln.weight) for ln in lines] == \
                 [(1, 1, 0.5), (1, 2, 0.5), (2, 1, 0.5), (2, 2, 0.5)]
@@ -327,8 +370,53 @@ class TestZeroSpinCenters:
         got = sp.zero_spin_centers(PARAMS, [[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]], 0.25)
         assert got[0].tolist() == [0.25] * 4
         assert np.all(np.isfinite(got))
-        lines = sp.zero_spin_lines(PARAMS, (0.0, 0.0, 0.0), 0.25, 2.0)
+        lines = [ln for ln in sp.transition_catalog(
+            PARAMS, (0.0, 0.0, 0.0), zero_spin_offset_ghz=0.25,
+            zero_spin_fraction=0.125) if ln.isotope == "I0"]
         assert [(ln.detuning_ghz, ln.weight) for ln in lines] == [(0.25, 2.0)]
+
+
+class TestOpticalLines:
+    """The one line engine against the per-field code it replaced."""
+
+    def test_column_layout_and_states_equal_per_field_eigensystems(self):
+        rng = np.random.default_rng(21)
+        fields = np.concatenate([rng.uniform(-300, 300, size=(12, 3)),
+                                 np.zeros((1, 3))])
+        for nuclear in (True, False):
+            centres, (s_g, s_e) = sp.optical_lines(PARAMS, fields, 0.3, nuclear)
+            assert centres.shape == (fields.shape[0], 20)
+            for row, b in enumerate(fields):
+                eg = spinham.eigensystem(PARAMS, Manifold.GROUND, b, nuclear)
+                ee = spinham.eigensystem(PARAMS, Manifold.EXCITED, b, nuclear)
+                assert np.array_equal(s_g[row], eg.states)
+                assert np.array_equal(s_e[row], ee.states)
+                for i in range(4):
+                    for j in range(4):
+                        assert centres[row, 4 * i + j] == ee.energies[j] - eg.energies[i]
+                expected = ([0.3] * 4 if not b.any()
+                            else _reference_zero_spin_centers(PARAMS, b, 0.3))
+                assert centres[row, 16:].tolist() == expected
+
+    @pytest.mark.parametrize("weights", [None, "sigma", "pi", _CUSTOM_TABLE],
+                             ids=["none", "sigma", "pi", "table"])
+    def test_catalog_equals_frozen_per_field_catalog(self, weights):
+        rng = np.random.default_rng(22)
+        fields = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, 0.0, 50.0),
+                  *rng.uniform(-200, 200, size=(8, 3))]
+        for k, b in enumerate(fields):
+            kwargs = dict(weights=weights, include_zero_spin=k % 3 != 2,
+                          zero_spin_offset_ghz=float(rng.normal()) if k % 2 else 0.0,
+                          zero_spin_fraction=float(rng.uniform(0, 0.3)),
+                          include_nuclear_zeeman=k % 4 != 1)
+            got = sp.transition_catalog(PARAMS, b, **kwargs)
+            assert got == _reference_catalog(PARAMS, b, **kwargs)
+
+    def test_catalog_rejects_a_bad_field(self):
+        with pytest.raises(ValidationError, match="3-vector"):
+            sp.transition_catalog(PARAMS, (0.0, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            sp.transition_catalog(PARAMS, (0.0, np.nan, 1.0))
 
 
 class TestSweepMapValidation:
@@ -342,6 +430,15 @@ class TestSweepMapValidation:
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ValidationError, match="grid"):
             sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0, 10.0], grid)
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0),
+                                      (np.inf, 0.0, 0.0), (1.0, 0.0)])
+    def test_bad_axis_rejected_by_name(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no RuntimeWarning on the way
+            with pytest.raises(ValidationError,
+                               match="axis must be a finite, non-zero 3-vector"):
+                sp.field_sweep_map(PARAMS, axis, [0.0, 10.0], (-1, 1, 100))
 
     @pytest.mark.parametrize("fwhm", [dict(fwhm_171_mhz=0.0),
                                       dict(fwhm_i0_mhz=-5.0)])

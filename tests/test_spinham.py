@@ -416,6 +416,28 @@ def test_vectorised_phase_convention_equals_per_column_loop():
                                   _reference_fix_phase(vectors[row, :, k]))
 
 
+def _reference_fix_phases(vectors):
+    """The take_along_axis / put_along_axis body of _fix_phases that the
+    single anchor index replaced, kept as its reference."""
+    magnitude = np.hypot(vectors.real, vectors.imag)
+    anchor = np.argmax(magnitude, axis=-2)[..., None, :]
+    peak = np.take_along_axis(vectors, anchor, axis=-2)
+    out = vectors / (peak / np.take_along_axis(magnitude, anchor, axis=-2))
+    np.put_along_axis(out, anchor, np.take_along_axis(out, anchor, axis=-2).real,
+                      axis=-2)
+    return out
+
+
+def test_fix_phases_equals_the_take_along_axis_body():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 2001))
+        vectors = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        assert np.array_equal(sh._fix_phases(vectors), _reference_fix_phases(vectors))
+    single = vectors[0]
+    assert np.array_equal(sh._fix_phases(single), _reference_fix_phases(single))
+
+
 # --- the Zeeman forms that zeeman_operators replaced, kept as references ----
 
 def _reference_hamiltonians(a_par, a_perp, ze_par, ze_perp, zn, fields_t):
@@ -550,3 +572,44 @@ def test_hamiltonians_hermitian_and_affine_in_field(b1, data, manifold, nuclear)
     for h in (h1, h2, h12):
         assert np.abs(h - h.conj().transpose(0, 2, 1)).max() <= 4 * eps * scale
     assert np.abs(h1 + h2 - h12 - h0).max() <= 16 * eps * scale
+
+
+# Rows of eigensystems: random fields, zero fields (a degenerate doublet in
+# each manifold) and fields along c, where the pure product states mix least
+_FIELD_ROWS = st.one_of(
+    hnp.arrays(np.float64, 3, elements=st.floats(-500, 500)),
+    st.just(np.zeros(3)),
+    st.floats(-500, 500).map(lambda b: np.array([0.0, 0.0, b])))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(rows=st.lists(_FIELD_ROWS, min_size=1, max_size=8),
+       preset=st.sampled_from(["yb171-cawo4", "field-sweep-fit"]),
+       manifold=st.sampled_from(Manifold), nuclear=st.booleans())
+def test_eigensystems_rows_follow_the_conventions(rows, preset, manifold, nuclear):
+    fields = np.stack(rows)
+    params = default_params(preset)
+    energies, states = sh.eigensystems(params, manifold, fields, nuclear)
+    eye = np.eye(4)
+    sz, iz = sh.S_OPS[2], sh.I_OPS[2]
+    for e, v in zip(energies, states):
+        assert np.all(np.diff(e) >= 0.0)
+        assert np.abs(v.conj().T @ v - eye).max() <= 1e-14
+        # the largest-magnitude component of each column is real and positive;
+        # components tied to rounding may each be the one chosen
+        magnitude = np.abs(v)
+        top = magnitude >= (1.0 - 1e-12) * magnitude.max(axis=0)
+        assert np.all(np.any(top & (v.imag == 0.0) & (v.real > 0.0), axis=0))
+        for k in range(3):
+            if e[k + 1] - e[k] >= sh._DEGENERACY_TOL_GHZ:
+                continue
+            # a degenerate pair diagonalizes Sz (then Iz), in descending order
+            pair = v[:, k:k + 2]
+            for op in (sz, iz):
+                m = pair.conj().T @ op @ pair
+                assert abs(m[0, 1]) <= 1e-12
+            s_diag = np.diag(pair.conj().T @ sz @ pair).real
+            i_diag = np.diag(pair.conj().T @ iz @ pair).real
+            assert (s_diag[0] > s_diag[1] + 1e-12
+                    or (abs(s_diag[0] - s_diag[1]) <= 1e-12
+                        and i_diag[0] >= i_diag[1] - 1e-12))
