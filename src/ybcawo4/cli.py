@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__, csvio, dynamics, fitting, grouptheory, spectra, spinham
 from .errors import DomainError, NumericalError, ValidationError
-from .params import (Manifold, PRESET_NAMES, SpinSystemParams, a_tensor,
-                     default_params, g_tensor)
+from .params import (GROUND_GROUPS, Manifold, PRESET_NAMES, SpinSystemParams,
+                     a_tensor, default_params, g_tensor)
 
 # config key -> (params attribute, tensor component or None for scalars)
 _CONFIG_KEYS = {
@@ -410,7 +410,7 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
     elif args.model == "recovery":
         data = csvio.read_measurement_csv(args.data[0], "recovery")
         config.input_files.append(Path(args.data[0]))
-        populations = np.column_stack([data["n1g"], data["n23g"], data["n4g"]])
+        populations = np.column_stack([data[f"n{g}g"] for g in GROUND_GROUPS])
         result = fitting.fit_slr_recovery(
             data["delay_s"], populations,
             dynamics.ground_group_energies(config.params))

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .params import GROUND_GROUPS
 from .spectra import Spectrum, SweepMap
 
 
@@ -93,7 +94,8 @@ def write_rosette(path, rosette) -> None:
 SCHEMAS = {
     "spectrum": {"columns": ("detuning_GHz", "absorption"), "axis": "detuning_GHz"},
     "decay": {"columns": ("tau_s", "intensity"), "axis": "tau_s"},
-    "recovery": {"columns": ("delay_s", "n1g", "n23g", "n4g"), "axis": "delay_s"},
+    "recovery": {"columns": ("delay_s",) + tuple(f"n{g}g" for g in GROUND_GROUPS),
+                 "axis": "delay_s"},
     "sweep": {"columns": ("field_mT", "detuning_GHz", "absorption"), "axis": None},
 }
 

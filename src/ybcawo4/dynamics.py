@@ -20,9 +20,24 @@ import numpy as np
 
 from .constants import CONSTANTS, DIPOLE_HZ_CM3, thermal_occupation_factor
 from .errors import DomainError, NumericalError, ValidationError
-from .params import SpinSystemParams, UniaxialTensor
-from .spectra import EXCITED_GROUP_OF_LEVEL, BranchingTable, MEASURED_BRANCHING
+from .params import (EXCITED_LEVEL_GROUP, GROUND_LEVEL_GROUP,
+                     GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
+                     UniaxialTensor)
+from .spectra import BranchingTable, MEASURED_BRANCHING
 from . import spinham
+
+
+def _into_ground_levels(rates: np.ndarray, source_group: tuple[int, ...]) -> np.ndarray:
+    """Lift rates into the ground groups (rows) to the four ground levels.
+
+    Entry (level, k) is rates[group of level, source_group[k]] split evenly
+    over the level's group, i.e. divided by its multiplicity, as a share
+    matrix product would give it.  Indexing, because the first matrix-matrix
+    product in a process adds about 0.3 MB to its peak memory (the BLAS
+    buffer), and `pump` makes no other.
+    """
+    shared = rates / np.array(GROUND_MULTIPLICITIES, dtype=float)[:, None]
+    return shared[np.ix_(GROUND_LEVEL_GROUP, source_group)]
 
 
 def average_dopant_distance(volume_nm3: float, sites_per_cell: int,
@@ -147,14 +162,17 @@ def boltzmann_populations(energies_ghz, temperature_k: float,
 
 
 def ground_group_energies(params: SpinSystemParams) -> np.ndarray:
-    """Zero-field energies (GHz) of the level groups |1>, |2,3>, |4>."""
-    groups = spinham.zero_field_levels(params.a_ground)
+    """Zero-field energies (GHz) of the ground level groups GROUND_GROUPS.
+
+    Raises DomainError when the ground hyperfine tensor does not fit the
+    level layout (spinham.checked_zero_field_levels).
+    """
+    groups = spinham.checked_zero_field_levels(params, Manifold.GROUND)
     return np.array([g.energy_ghz for g in groups])
 
 
 def ground_level_energies(params: SpinSystemParams) -> np.ndarray:
-    e1, e23, e4 = ground_group_energies(params)
-    return np.array([e1, e23, e23, e4])
+    return np.take(ground_group_energies(params), GROUND_LEVEL_GROUP)
 
 
 def slr_generator(params: SpinSystemParams, temperature_k: float,
@@ -168,7 +186,8 @@ def slr_generator(params: SpinSystemParams, temperature_k: float,
     distribution with the doublet's twofold degeneracy.
     """
     energies = ground_group_energies(params)
-    pi = boltzmann_populations(energies, temperature_k, degeneracies=(1, 2, 1))
+    pi = boltzmann_populations(energies, temperature_k,
+                               degeneracies=GROUND_MULTIPLICITIES)
     r23 = slr_rate(temperature_k, slr_doublet)
     r4 = slr_rate(temperature_k, slr_upper)
     down = {(1, 0): r23, (2, 1): 0.5 * r4, (2, 0): 0.5 * r4}
@@ -182,18 +201,15 @@ def slr_generator(params: SpinSystemParams, temperature_k: float,
 
 
 def _expand_ground_generator(group_gen: np.ndarray) -> np.ndarray:
-    """Lift the 3-group generator to the 4 individual ground levels."""
-    # mapping level -> group: 1->0, 2,3->1, 4->2
-    members = {0: [0], 1: [1, 2], 2: [3]}
-    g4 = np.zeros((4, 4))
-    for src_grp, src_levels in members.items():
-        for dst_grp, dst_levels in members.items():
-            if src_grp == dst_grp:
-                continue
-            per_level = group_gen[dst_grp, src_grp] / len(dst_levels)
-            for s in src_levels:
-                for d in dst_levels:
-                    g4[d, s] += per_level
+    """Lift the 3-group generator to the 4 individual ground levels.
+
+    Each level of a source group feeds every other group at the group rate,
+    split evenly over the destination's levels; the diagonal then makes
+    every column sum to zero.
+    """
+    off_diagonal = np.array(group_gen, dtype=float)
+    np.fill_diagonal(off_diagonal, 0.0)
+    g4 = _into_ground_levels(off_diagonal, GROUND_LEVEL_GROUP)
     for k in range(4):
         g4[k, k] = -(g4[:, k].sum() - g4[k, k])
     return g4
@@ -225,25 +241,24 @@ class PumpConfig:
 
 
 def _pump_rate_matrix(config: PumpConfig, params: SpinSystemParams) -> np.ndarray:
-    """8x8 generator over (n1g..n4g, n1e..n4e); columns sum to zero."""
+    """8x8 generator over (n1g..n4g, n1e..n4e); columns sum to zero.
+
+    Raises DomainError when either hyperfine tensor does not fit the level
+    layout that lifts the branching table and the relaxation to levels.
+    """
+    spinham.checked_zero_field_levels(params, Manifold.EXCITED)
     m = np.zeros((8, 8))
     # optical decay with branching: excited level j decays at 1/T1, split
     # over ground groups by the table column of j's group, then equally over
     # the group members
     decay = 1.0 / config.t1_optical_s
     w = config.branching.weights
-    members = {0: [0], 1: [1, 2], 2: [3]}
-    for j in range(4):
-        col = w[:, EXCITED_GROUP_OF_LEVEL[j + 1]]
-        if col.sum() <= 0:
-            raise ValidationError("branching table leaves an excited level "
-                                  "with no decay path")
-        fractions = col / col.sum()
-        src = 4 + j
-        for grp, frac in enumerate(fractions):
-            for level in members[grp]:
-                m[level, src] += decay * frac / len(members[grp])
-        m[src, src] -= decay
+    totals = w.sum(axis=0)
+    if np.any(totals <= 0):
+        raise ValidationError("branching table leaves an excited level "
+                              "with no decay path")
+    m[:4, 4:] = _into_ground_levels(decay * (w / totals), EXCITED_LEVEL_GROUP)
+    np.fill_diagonal(m[4:, 4:], -decay)
     # pump: symmetric stimulated coupling of each driven pair
     for (g_level, e_level), rate in config.transitions:
         gi, ei = g_level - 1, 4 + e_level - 1
@@ -460,7 +475,8 @@ def _doublet_population(params, temperature_k, model: CoherenceModel,
                         polarized: bool) -> float:
     """Residual doublet occupation during a coherence measurement."""
     energies = ground_group_energies(params)
-    eq = boltzmann_populations(energies, temperature_k, degeneracies=(1, 2, 1))
+    eq = boltzmann_populations(energies, temperature_k,
+                               degeneracies=GROUND_MULTIPLICITIES)
     if not polarized:
         return 0.5  # populations reshuffled evenly over the four levels
     refill = 1.0 - math.exp(-slr_rate(temperature_k, SLR_DOUBLET)

@@ -14,7 +14,8 @@ from . import spectra, spinham
 from .constants import (C_LIGHT_M_S, CONSTANTS, E_CHARGE_C, EPSILON0_F_M,
                         M_ELECTRON_KG)
 from .errors import DomainError, ValidationError
-from .params import Manifold, SpinSystemParams, g_tensor
+from .params import (GROUND_GROUPS, GROUND_MULTIPLICITIES, Manifold,
+                     SpinSystemParams, g_tensor)
 from .dynamics import boltzmann_populations
 
 
@@ -295,13 +296,13 @@ def recovery_profiles(delays, params_vector, energies_ghz, degeneracies):
     return np.concatenate(out)
 
 
-def fit_slr_recovery(delays_s, populations, energies_ghz,
-                     degeneracies=(1, 2, 1)) -> FitResult:
+def fit_slr_recovery(delays_s, populations, energies_ghz) -> FitResult:
     """Simultaneous exponential recovery fits tied to one temperature.
 
-    populations: (n_delays, 3) occupations of the level groups |1>, |2,3>,
-    |4>.  Returns T_eq plus per-group initial populations and recovery
-    times; flags groups whose recovery amplitude is too small to date.
+    populations: (n_delays, 3) occupations of the ground level groups
+    (params.GROUND_GROUPS), weighted by their multiplicities at equilibrium.
+    Returns T_eq plus per-group initial populations and recovery times;
+    flags groups whose recovery amplitude is too small to date.
     """
     delays = np.asarray(delays_s, dtype=float)
     pops = np.asarray(populations, dtype=float)
@@ -318,20 +319,21 @@ def fit_slr_recovery(delays_s, populations, energies_ghz,
     t_r0 = max(delays.max() / 3.0, 1e-6)
     for k in range(3):
         guess.extend([float(pops[0, k]), t_r0])
-    names = ("t_eq", "n0_1", "t_r_1", "n0_23", "t_r_23", "n0_4", "t_r_4")
+    names = ("t_eq",) + tuple(f"{p}_{g}" for g in GROUND_GROUPS
+                              for p in ("n0", "t_r"))
     bounds = [(1e-3, 10.0)]
     for _ in range(3):
         bounds.extend([(0.0, 1.0), (1e-9, np.inf)])
 
     result = least_squares(
-        lambda p: recovery_profiles(delays, p, energies, degeneracies),
+        lambda p: recovery_profiles(delays, p, energies, GROUND_MULTIPLICITIES),
         pops.T.reshape(-1), guess, bounds=bounds, names=names)
 
-    eq = boltzmann_populations(energies, result["t_eq"], degeneracies)
+    eq = boltzmann_populations(energies, result["t_eq"], GROUND_MULTIPLICITIES)
     spread = pops.std(axis=0)
-    for k, name in enumerate(("t_r_1", "t_r_23", "t_r_4")):
-        amplitude = abs(result[f"n0_{('1', '23', '4')[k]}"] - eq[k])
-        flag = f"{name} unidentifiable"
+    for k, group in enumerate(GROUND_GROUPS):
+        amplitude = abs(result[f"n0_{group}"] - eq[k])
+        flag = f"t_r_{group} unidentifiable"
         if (amplitude < max(3.0 * spread[k] / math.sqrt(delays.size), 1e-4)
                 and flag not in result.flags):
             result.flags = result.flags + (flag,)

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
+from .params import EXCITED_GROUPS, GROUND_GROUPS
 
 PI, SIGMA, ALPHA = "pi", "sigma", "alpha"
 POLARIZATIONS = (ALPHA, SIGMA, PI)
-
-GROUND_LEVEL_GROUPS = ("1", "23", "4")
-EXCITED_LEVEL_GROUPS = ("12", "3", "4")
 
 
 @dataclass(frozen=True)
@@ -214,8 +212,8 @@ class SelectionRuleTable:
         return self.cells[(ground, excited)][1]
 
     def rows(self):
-        for g in GROUND_LEVEL_GROUPS:
-            for e in EXCITED_LEVEL_GROUPS:
+        for g in GROUND_GROUPS:
+            for e in EXCITED_GROUPS:
                 yield g, e, self.cells[(g, e)]
 
 
@@ -228,11 +226,11 @@ def _format_pols(pols: frozenset) -> str:
 def format_selection_table(table: SelectionRuleTable) -> str:
     """Aligned text rendering, MD rules in parentheses."""
     header = ["g\\e"] + [f"|{e}>e ({table.excited_irreps[e]})"
-                         for e in EXCITED_LEVEL_GROUPS]
+                         for e in EXCITED_GROUPS]
     lines = [header]
-    for g in GROUND_LEVEL_GROUPS:
+    for g in GROUND_GROUPS:
         row = [f"<{g}|g ({table.ground_irreps[g]})"]
-        for e in EXCITED_LEVEL_GROUPS:
+        for e in EXCITED_GROUPS:
             ed, md = table.cells[(g, e)]
             row.append(f"{_format_pols(ed)} ({_format_pols(md)})")
         lines.append(row)
@@ -241,7 +239,8 @@ def format_selection_table(table: SelectionRuleTable) -> str:
                      for row in lines)
 
 
-def _validate_assignment(group, assignment, level_groups, doublet_slot):
+def _validate_assignment(group, assignment, level_groups):
+    doublet_slot = next(name for name in level_groups if len(name) == 2)
     got = {}
     for k, v in assignment.items():
         label = v.strip().replace("Γ", "G")
@@ -268,14 +267,15 @@ def hyperfine_selection_table(group: PointGroup, ground_assignment: dict,
                               excited_assignment: dict) -> SelectionRuleTable:
     """3x3 selection-rule table over the hyperfine level groups.
 
-    Assignments map ground levels {"1","23","4"} and excited levels
-    {"12","3","4"} to level irreps consistent with hyperfine_level_irreps.
+    Assignments map the ground and excited level groups (params.GROUND_GROUPS,
+    params.EXCITED_GROUPS) to level irreps consistent with
+    hyperfine_level_irreps; the two-level group carries the hyperfine doublet.
     """
-    g_ir = _validate_assignment(group, ground_assignment, GROUND_LEVEL_GROUPS, "23")
-    e_ir = _validate_assignment(group, excited_assignment, EXCITED_LEVEL_GROUPS, "12")
+    g_ir = _validate_assignment(group, ground_assignment, GROUND_GROUPS)
+    e_ir = _validate_assignment(group, excited_assignment, EXCITED_GROUPS)
     cells = {}
-    for g in GROUND_LEVEL_GROUPS:
-        for e in EXCITED_LEVEL_GROUPS:
+    for g in GROUND_GROUPS:
+        for e in EXCITED_GROUPS:
             cells[(g, e)] = dipole_selection_rules(group, g_ir[g], e_ir[e])
     return SelectionRuleTable(group=group.name, ground_irreps=g_ir,
                               excited_irreps=e_ir, cells=cells)
@@ -399,7 +399,12 @@ def _g_mixed_52(a, b, c, d):
 
 
 def doublet_g_factors(coeffs: DoubletCoefficients) -> tuple[float, float]:
-    """(g_parallel, g_perpendicular) of the doublet from its amplitudes."""
+    """(g_parallel, |g_perpendicular|) of the doublet from its amplitudes.
+
+    g_perp is returned as a magnitude on every branch, as _g_mixed_52,
+    g_consistency_relation and fit_j_mixing treat it; the sign of g_parallel
+    follows `order`.
+    """
     sign = 1.0 if coeffs.order == "upper" else -1.0
     family = _FAMILY_CANON[coeffs.family]
     a, b = coeffs.a, coeffs.b
@@ -407,15 +412,13 @@ def doublet_g_factors(coeffs: DoubletCoefficients) -> tuple[float, float]:
         if family == "G78":
             # pure |5/2, -+1/2> doublet: no free amplitudes
             return G_52, 3.0 * G_52
-        if coeffs.c or coeffs.d:
-            g_par, g_perp = _g_mixed_52(a, b, coeffs.c, coeffs.d)
-            return sign * g_par, g_perp
-        return sign * G_52 * (5 * a * a - 3 * b * b), -2 * math.sqrt(5) * G_52 * a * b
+        g_par, g_perp = _g_mixed_52(a, b, coeffs.c, coeffs.d)
+        return sign * g_par, g_perp
     if coeffs.c or coeffs.d:
         raise ValidationError("J mixing is only implemented for the 5/2 doublet")
     if family == "G56":
-        return sign * G_72 * (5 * a * a - 3 * b * b), 4 * math.sqrt(3) * G_72 * a * b
-    return sign * G_72 * (7 * a * a - b * b), -4 * G_72 * b * b
+        return sign * G_72 * (5 * a * a - 3 * b * b), abs(4 * math.sqrt(3) * G_72 * a * b)
+    return sign * G_72 * (7 * a * a - b * b), 4 * G_72 * b * b
 
 
 def g_consistency_relation(j: float, family: str, order: str, g_parallel: float) -> float:

@@ -20,6 +20,21 @@ class Manifold(Enum):
     EXCITED = "excited"
 
 
+# Zero-field level groups of each manifold, in ascending energy.  A group's
+# name lists its 1-based levels, so its length is its multiplicity: the
+# ground doublet is |2,3>g, the excited one |1,2>e.  The one place this
+# layout is written; every other module derives what it needs from it.
+GROUND_GROUPS = ("1", "23", "4")
+EXCITED_GROUPS = ("12", "3", "4")
+
+# Derived: each group's multiplicity (the length of its name) and the group
+# index of each 1-based level, in level order.
+GROUND_MULTIPLICITIES = tuple(len(name) for name in GROUND_GROUPS)
+EXCITED_MULTIPLICITIES = tuple(len(name) for name in EXCITED_GROUPS)
+GROUND_LEVEL_GROUP = tuple(k for k, name in enumerate(GROUND_GROUPS) for _ in name)
+EXCITED_LEVEL_GROUP = tuple(k for k, name in enumerate(EXCITED_GROUPS) for _ in name)
+
+
 @dataclass(frozen=True)
 class UniaxialTensor:
     """Axial tensor with one parallel and two identical perpendicular components.

@@ -18,12 +18,8 @@ import numpy as np
 from . import _kernels, spinham
 from .constants import CONSTANTS
 from .errors import NumericalError, ValidationError
-from .params import Manifold, SpinSystemParams
-
-GROUND_GROUP_OF_LEVEL = {1: 0, 2: 1, 3: 1, 4: 2}
-EXCITED_GROUP_OF_LEVEL = {1: 0, 2: 0, 3: 1, 4: 2}
-GROUND_GROUP_NAMES = ("1", "23", "4")
-EXCITED_GROUP_NAMES = ("12", "3", "4")
+from .params import (EXCITED_LEVEL_GROUP, GROUND_LEVEL_GROUP, Manifold,
+                     SpinSystemParams)
 
 DEFAULT_I0_FRACTION = 0.05  # zero-spin isotope weight as a fraction of the total
 
@@ -32,8 +28,8 @@ DEFAULT_I0_FRACTION = 0.05  # zero-spin isotope weight as a fraction of the tota
 class BranchingTable:
     """Relative optical weights between ground and excited level groups.
 
-    Rows: ground groups (|1>, |2,3>, |4>); columns: excited groups
-    (|1,2>, |3>, |4>).  Values are relative intensities in [0, 1].
+    Rows: ground groups (params.GROUND_GROUPS); columns: excited groups
+    (params.EXCITED_GROUPS).  Values are relative intensities in [0, 1].
     """
 
     weights: np.ndarray
@@ -48,8 +44,15 @@ class BranchingTable:
         object.__setattr__(self, "weights", w)
 
     def line_weight(self, ground_level: int, excited_level: int) -> float:
-        return float(self.weights[GROUND_GROUP_OF_LEVEL[ground_level],
-                                  EXCITED_GROUP_OF_LEVEL[excited_level]])
+        """Table weight of the line between two 1-based levels.
+
+        Levels map to groups by the layout alone; the params-taking callers
+        check a tensor against it (spinham.checked_zero_field_levels).
+        """
+        if not (1 <= ground_level <= 4 and 1 <= excited_level <= 4):
+            raise ValidationError("line levels must be 1..4")
+        return float(self.weights[GROUND_LEVEL_GROUP[ground_level - 1],
+                                  EXCITED_LEVEL_GROUP[excited_level - 1]])
 
 
 # Measured relative branching ratios of the tetragonal site, one table per
@@ -230,11 +233,6 @@ def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0,
     return centres, (s_g, s_e)
 
 
-# level (0-based) -> branching group, for indexing a 3x3 table into 4x4
-_GROUND_GROUPS = np.array([GROUND_GROUP_OF_LEVEL[k] for k in range(1, 5)])
-_EXCITED_GROUPS = np.array([EXCITED_GROUP_OF_LEVEL[k] for k in range(1, 5)])
-
-
 def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
                   fields_mt: np.ndarray, zero_spin_fraction: float,
                   mixed_states=None, include_nuclear_zeeman: bool = True) -> np.ndarray:
@@ -247,11 +245,16 @@ def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
     lines share zero_spin_fraction times the left-to-right sum of the 16
     weights (cumsum is sequential; np.sum's pairwise order would round
     differently), a quarter each, or all of it on column 16 at a zero field,
-    where the four I = 0 lines coincide.
+    where the four I = 0 lines coincide.  A table needs both hyperfine
+    tensors to fit the level layout that maps it to levels (DomainError).
     """
     n = fields_mt.shape[0]
-    w0 = (np.ones((4, 4)) if table is None
-          else table.weights[_GROUND_GROUPS][:, _EXCITED_GROUPS])
+    if table is None:
+        w0 = np.ones((4, 4))
+    else:
+        for manifold in Manifold:
+            spinham.checked_zero_field_levels(params, manifold)
+        w0 = table.weights[np.ix_(GROUND_LEVEL_GROUP, EXCITED_LEVEL_GROUP)]
     weights = np.empty((n, 20))
     if mixed_states is not None and table is not None:
         s_g, s_e = mixed_states

@@ -24,8 +24,10 @@ import numpy as np
 
 from . import _kernels
 from .constants import CONSTANTS
-from .errors import ValidationError
-from .params import Manifold, SpinSystemParams, UniaxialTensor
+from .errors import DomainError, ValidationError
+from .params import (EXCITED_GROUPS, EXCITED_MULTIPLICITIES, GROUND_GROUPS,
+                     GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
+                     UniaxialTensor)
 
 BASIS_LABELS = ("up-Up", "up-Dn", "dn-Up", "dn-Dn")
 
@@ -255,6 +257,29 @@ def zero_field_levels(a: UniaxialTensor) -> list[LevelGroup]:
         LevelGroup((-ap + 2.0 * aq) / 4.0, 1, "singlet+"),
     ]
     return sorted(groups, key=lambda g: g.energy_ghz)
+
+
+def checked_zero_field_levels(params: SpinSystemParams,
+                              manifold: Manifold) -> list[LevelGroup]:
+    """zero_field_levels of one manifold, checked against its level layout.
+
+    The layout (params.GROUND_GROUPS, params.EXCITED_GROUPS) fixes which
+    levels form the zero-field doublet.  Raises DomainError, naming both,
+    when the hyperfine tensor gives other multiplicities in ascending
+    energy: whatever the layout lifts to levels would then treat two
+    non-degenerate levels as the doublet.
+    """
+    groups, expected = ((GROUND_GROUPS, GROUND_MULTIPLICITIES)
+                        if manifold is Manifold.GROUND
+                        else (EXCITED_GROUPS, EXCITED_MULTIPLICITIES))
+    levels = zero_field_levels(params.a(manifold))
+    found = tuple(g.multiplicity for g in levels)
+    if found != expected:
+        raise DomainError(
+            f"the {manifold.value} hyperfine tensor gives zero-field "
+            f"multiplicities {found} in ascending energy, but the level "
+            f"layout {groups} needs {expected}")
+    return levels
 
 
 def zero_field_splittings(a: UniaxialTensor) -> dict[str, float]:

@@ -9,7 +9,7 @@ import pytest
 
 from ybcawo4 import cli, csvio, dynamics, fitting
 from ybcawo4.errors import ValidationError
-from ybcawo4.params import default_params
+from ybcawo4.params import GROUND_MULTIPLICITIES, default_params
 
 
 def run_cli(*argv):
@@ -114,6 +114,22 @@ class TestSubcommands:
         printed = capsys.readouterr().out
         assert "1.42" in printed
 
+    @pytest.mark.parametrize("extra, printed_perp, csv_perp", [
+        (["--j", "2.5"], "1.916254", "1.91625395893"),
+        (["--family", "G78"], "2.330972", None),
+    ])
+    def test_gfactor_prints_the_g_perp_magnitude(self, tmp_path, capsys, extra,
+                                                 printed_perp, csv_perp):
+        out = tmp_path / "gf"
+        assert run_cli("--out", out, "gfactor", "--coeffs", "0.7,0.714",
+                       *extra) == 0
+        assert f"g_perpendicular = {printed_perp}" in capsys.readouterr().out
+        rows = (out / "gfactor.csv").read_text().splitlines()
+        perp = rows[2].split(",")
+        assert perp[0] == "g_perpendicular" and float(perp[1]) > 0
+        if csv_perp is not None:
+            assert perp[1] == csv_perp
+
     def test_budget_inversion(self, tmp_path, capsys):
         out = tmp_path / "budget"
         assert run_cli("--out", out, "budget", "--mode", "spin",
@@ -173,6 +189,61 @@ class TestSubcommands:
         code = run_cli("--out", tmp_path / "y", "fit", "--model", "decay",
                        "--data", data)
         assert code == 2
+
+
+class TestLevelLayoutCheck:
+    """A hyperfine override that reorders the zero-field groups of a
+    manifold is rejected by name wherever that level-group layout is used."""
+
+    BAD = ("--set", "ground.A_par_GHz=10", "--set", "ground.A_perp_GHz=1")
+    BAD_EXCITED = ("--set", "excited.A_par_GHz=10", "--set", "excited.A_perp_GHz=1")
+
+    def _recovery_csv(self, tmp_path):
+        delays = np.geomspace(1e3, 5e5, 10)
+        energies = dynamics.ground_group_energies(default_params())
+        truth = np.array([0.14, 0.95, 3e4, 0.04, 3.5e4, 0.01, 2.5e4])
+        curves = fitting.recovery_profiles(delays, truth, energies,
+                                           GROUND_MULTIPLICITIES)
+        data = tmp_path / "recovery.csv"
+        csvio.write_rows(data, ["delay_s", "n1g", "n23g", "n4g"],
+                         [[d, *row] for d, row in
+                          zip(delays, curves.reshape(3, -1).T)])
+        return data
+
+    @pytest.mark.parametrize("command", [["pump", "--duration", "0.01"],
+                                         ["dynamics", "--steps", "3"],
+                                         ["fit", "--model", "recovery"],
+                                         ["spectrum", "--pol", "sigma"],
+                                         ["sweep", "--steps", "3", "--pol", "pi"]])
+    def test_reordered_ground_layout_exits_1(self, tmp_path, capsys, command):
+        if command[0] == "fit":
+            command = command + ["--data", str(self._recovery_csv(tmp_path))]
+        out = tmp_path / "run"
+        assert run_cli(*self.BAD, "--out", out, *command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command[0]}): the ground hyperfine "
+                              "tensor gives zero-field multiplicities (1, 1, 2)")
+        assert "('1', '23', '4') needs (1, 2, 1)" in err
+
+    @pytest.mark.parametrize("command", [["pump", "--duration", "0.01"],
+                                         ["spectrum", "--pol", "sigma"],
+                                         ["sweep", "--steps", "3", "--pol", "pi"]])
+    def test_reordered_excited_layout_exits_1(self, tmp_path, capsys, command):
+        assert run_cli(*self.BAD_EXCITED, "--out", tmp_path / "run", *command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command[0]}): the excited hyperfine "
+                              "tensor gives zero-field multiplicities (1, 1, 2)")
+        assert "('12', '3', '4') needs (2, 1, 1)" in err
+
+    @pytest.mark.parametrize("command", [["dynamics", "--steps", "3"],
+                                         ["spectrum"]])
+    def test_commands_without_the_excited_layout_still_run(self, tmp_path, command):
+        # dynamics reads the ground layout only; uniform weights use no table
+        assert run_cli(*self.BAD_EXCITED, "--out", tmp_path / "run", *command) == 0
+
+    def test_larger_a_perp_still_runs(self, tmp_path):
+        assert run_cli("--set", "ground.A_perp_GHz=2.5", "--out", tmp_path / "p",
+                       "pump", "--duration", "0.01") == 0
 
 
 class TestNegativeNumberListOptions:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from ybcawo4 import dynamics as dyn
 from ybcawo4.constants import DIPOLE_HZ_CM3, thermal_occupation_factor
 from ybcawo4.errors import DomainError, ValidationError
-from ybcawo4.params import default_params, g_tensor
-from ybcawo4.spectra import BranchingTable
+from ybcawo4.params import (EXCITED_GROUPS, EXCITED_LEVEL_GROUP,
+                            EXCITED_MULTIPLICITIES, GROUND_GROUPS,
+                            GROUND_LEVEL_GROUP, GROUND_MULTIPLICITIES,
+                            a_tensor, default_params, g_tensor)
+from ybcawo4.spectra import MEASURED_BRANCHING, BranchingTable
 
 PARAMS = default_params()
 
@@ -222,6 +226,137 @@ class TestPumpSimulation:
     def test_bad_initial_state_rejected(self):
         with pytest.raises(ValidationError):
             dyn.pump_simulation(dyn.PumpConfig(), PARAMS, initial=np.ones(8))
+
+
+# The level-group lifting as it was written before the layout moved to
+# params: hand-typed member lists and nested loops.  Kept as the reference
+# for dynamics._into_ground_levels, which must equal it bit for bit.
+def _reference_expand_ground_generator(group_gen):
+    members = {0: [0], 1: [1, 2], 2: [3]}
+    g4 = np.zeros((4, 4))
+    for src_grp, src_levels in members.items():
+        for dst_grp, dst_levels in members.items():
+            if src_grp == dst_grp:
+                continue
+            per_level = group_gen[dst_grp, src_grp] / len(dst_levels)
+            for s in src_levels:
+                for d in dst_levels:
+                    g4[d, s] += per_level
+    for k in range(4):
+        g4[k, k] = -(g4[:, k].sum() - g4[k, k])
+    return g4
+
+
+def _reference_pump_rate_matrix(config, params):
+    excited_group_of_level = {1: 0, 2: 0, 3: 1, 4: 2}
+    m = np.zeros((8, 8))
+    decay = 1.0 / config.t1_optical_s
+    w = config.branching.weights
+    members = {0: [0], 1: [1, 2], 2: [3]}
+    for j in range(4):
+        col = w[:, excited_group_of_level[j + 1]]
+        fractions = col / col.sum()
+        src = 4 + j
+        for grp, frac in enumerate(fractions):
+            for level in members[grp]:
+                m[level, src] += decay * frac / len(members[grp])
+        m[src, src] -= decay
+    for (g_level, e_level), rate in config.transitions:
+        gi, ei = g_level - 1, 4 + e_level - 1
+        m[ei, gi] += rate
+        m[gi, gi] -= rate
+        m[gi, ei] += rate
+        m[ei, ei] -= rate
+    group_gen = dyn.slr_generator(params, config.temperature_k,
+                                  config.slr_doublet, config.slr_upper)
+    m[:4, :4] += _reference_expand_ground_generator(group_gen)
+    return m
+
+
+def _random_branching(rng):
+    """3x3 table with some exact zeros and no all-zero column."""
+    w = rng.uniform(0.0, 1.0, (3, 3)) * (rng.uniform(size=(3, 3)) > 0.3)
+    w[rng.integers(3, size=3), np.arange(3)] = rng.uniform(0.05, 1.0, 3)
+    return BranchingTable(w)
+
+
+class TestLevelGroupLifting:
+    def test_layout_multiplicities(self):
+        assert GROUND_MULTIPLICITIES == (1, 2, 1)
+        assert EXCITED_MULTIPLICITIES == (2, 1, 1)
+        assert GROUND_LEVEL_GROUP == (0, 1, 1, 2)
+        assert EXCITED_LEVEL_GROUP == (0, 0, 1, 2)
+        for groups, level_group in ((GROUND_GROUPS, GROUND_LEVEL_GROUP),
+                                    (EXCITED_GROUPS, EXCITED_LEVEL_GROUP)):
+            assert [str(level + 1) in groups[k]
+                    for level, k in enumerate(level_group)] == [True] * 4
+        assert np.array_equal(dyn.ground_level_energies(PARAMS),
+                              dyn.ground_group_energies(PARAMS)[[0, 1, 1, 2]])
+
+    def test_expand_generator_equals_the_loops(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            gen = rng.uniform(0.0, 10.0, (3, 3)) * 10.0 ** rng.uniform(-6, 3)
+            gen[rng.uniform(size=(3, 3)) < 0.2] = 0.0
+            assert np.array_equal(dyn._expand_ground_generator(gen),
+                                  _reference_expand_ground_generator(gen))
+
+    def test_pump_rate_matrix_equals_the_loops(self):
+        rng = np.random.default_rng(12)
+        temperatures = np.geomspace(0.01, 5.0, 12)
+        for k in range(60):
+            rates = rng.uniform(0.0, 1e4, 6) * (rng.uniform(size=6) > 0.25)
+            if k % 3 == 0:
+                rates[:] = 0.0
+            transitions = tuple(((int(g), int(e)), float(r)) for g, e, r in
+                                zip(rng.integers(1, 5, 6), rng.integers(1, 5, 6),
+                                    rates))
+            config = dyn.PumpConfig(transitions=transitions,
+                                    branching=_random_branching(rng),
+                                    t1_optical_s=rng.uniform(1e-5, 1e-2),
+                                    temperature_k=float(temperatures[k % 12]))
+            assert np.array_equal(dyn._pump_rate_matrix(config, PARAMS),
+                                  _reference_pump_rate_matrix(config, PARAMS))
+
+    def test_measured_tables_equal_the_loops(self):
+        for table in MEASURED_BRANCHING.values():
+            for temperature in (0.01, 0.05, 0.1234, 1.0, 5.0):
+                config = dyn.PumpConfig(branching=table, temperature_k=temperature)
+                got = dyn._pump_rate_matrix(config, PARAMS)
+                assert np.array_equal(got, _reference_pump_rate_matrix(config, PARAMS))
+                assert np.max(np.abs(got.sum(axis=0))) < 1e-9 * np.max(np.abs(got))
+
+
+class TestGroundLayoutCheck:
+    def test_reordered_layout_rejected_by_name(self):
+        # A_par = 10, A_perp = 1 GHz puts the doublet on top:
+        # levels at -3, -2, 2.5, 2.5 GHz
+        params = replace(PARAMS, a_ground=a_tensor(10.0, 1.0))
+        with pytest.raises(DomainError) as err:
+            dyn.ground_group_energies(params)
+        message = str(err.value)
+        assert "(1, 1, 2)" in message and "(1, 2, 1)" in message
+        assert "('1', '23', '4')" in message
+        with pytest.raises(DomainError):
+            dyn.pump_simulation(dyn.PumpConfig(duration_s=1e-3), params)
+        with pytest.raises(DomainError):
+            dyn.t2_vs_temperature(params, [0.1, 1.0])
+
+    def test_reordered_excited_layout_rejected_by_the_pump(self):
+        # the same tensor in the excited manifold puts its doublet on top
+        params = replace(PARAMS, a_excited=a_tensor(10.0, 1.0))
+        with pytest.raises(DomainError, match=r"the excited hyperfine tensor "
+                           r".*\(1, 1, 2\).*\('12', '3', '4'\) needs \(2, 1, 1\)"):
+            dyn.pump_simulation(dyn.PumpConfig(duration_s=1e-3), params)
+        # the spin-lattice side reads the ground layout only
+        assert np.array_equal(dyn.ground_group_energies(params),
+                              dyn.ground_group_energies(PARAMS))
+
+    def test_default_and_larger_a_perp_accepted(self):
+        for params in (PARAMS, default_params("field-sweep-fit"),
+                       replace(PARAMS, a_ground=a_tensor(-0.78905, 2.5))):
+            energies = dyn.ground_group_energies(params)
+            assert np.all(np.diff(energies) > 0)
 
 
 class TestCoherenceBudgets:

@@ -6,6 +6,7 @@ import pytest
 
 from ybcawo4 import grouptheory as gt
 from ybcawo4.errors import DomainError, NumericalError, ValidationError
+from ybcawo4.params import EXCITED_GROUPS, GROUND_GROUPS
 
 ALPHA, SIGMA, PI = gt.ALPHA, gt.SIGMA, gt.PI
 
@@ -225,6 +226,22 @@ class TestHyperfineSelectionTables:
         assert "alpha+sigma (alpha+pi)" in text
 
 
+class TestLevelLayout:
+    def test_named_tables_are_keyed_by_the_params_layout(self):
+        assert set(gt.OBSERVED_POLARIZATIONS) == {
+            (g, e) for g in GROUND_GROUPS for e in EXCITED_GROUPS}
+        for ground, excited in gt.ASSIGNMENTS.values():
+            assert tuple(ground) == GROUND_GROUPS
+            assert tuple(excited) == EXCITED_GROUPS
+
+    def test_doublet_slot_is_the_two_level_group(self):
+        ground, excited = gt.ASSIGNMENTS["d2d-same"]
+        with pytest.raises(ValidationError, match="two-fold level '23'"):
+            gt.hyperfine_selection_table(gt.D2D, {**ground, "23": "G3"}, excited)
+        with pytest.raises(ValidationError, match="two-fold level '12'"):
+            gt.hyperfine_selection_table(gt.D2D, ground, {**excited, "12": "G3"})
+
+
 class TestDoubletGFactors:
     def test_ground_doublet_amplitudes(self):
         coeffs = gt.DoubletCoefficients.normalized(0.700, 0.714, j=3.5, family="G56")
@@ -268,6 +285,32 @@ class TestDoubletGFactors:
                         g_par, g_perp = gt.doublet_g_factors(coeffs)
                         predicted = gt.g_consistency_relation(j, family, order, g_par)
                         assert abs(abs(g_perp) - predicted) < 1e-9
+
+
+    def test_g_perp_is_a_magnitude_on_every_branch(self):
+        rng = np.random.default_rng(3)
+        seen_negative_product = False
+        for _ in range(200):
+            a, b = rng.normal(size=2)
+            seen_negative_product |= a * b < 0
+            for j in (2.5, 3.5):
+                for family in ("G56", "G78"):
+                    for order in ("upper", "lower"):
+                        coeffs = gt.DoubletCoefficients.normalized(
+                            a, b, j=j, family=family, order=order)
+                        assert gt.doublet_g_factors(coeffs)[1] >= 0.0
+            mixed = gt.DoubletCoefficients.normalized(a, b, *rng.normal(size=2),
+                                                      j=2.5)
+            assert gt.doublet_g_factors(mixed)[1] >= 0.0
+        assert seen_negative_product
+
+    def test_unmixed_52_doublet_is_the_mixed_formula_at_zero_mixing(self):
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            a, b = rng.normal(size=2)
+            coeffs = gt.DoubletCoefficients.normalized(a, b, j=2.5)
+            assert gt.doublet_g_factors(coeffs) == \
+                gt._g_mixed_52(coeffs.a, coeffs.b, 0.0, 0.0)
 
 
 class TestConsistencyRelation:

@@ -8,7 +8,7 @@ import pytest
 from ybcawo4 import spectra as sp
 from ybcawo4 import spinham
 from ybcawo4.constants import CONSTANTS
-from ybcawo4.errors import NumericalError, ValidationError
+from ybcawo4.errors import DomainError, NumericalError, ValidationError
 from ybcawo4.params import Manifold, a_tensor, default_params, g_tensor
 
 PARAMS = default_params()
@@ -65,6 +65,41 @@ class TestTransitionCatalog:
     def test_unknown_branching_name_rejected(self):
         with pytest.raises(ValidationError):
             sp.transition_catalog(PARAMS, weights="chiral")
+
+
+class TestBranchingTable:
+    def test_line_weight_reads_the_level_groups(self):
+        weights = np.arange(9.0).reshape(3, 3) / 10.0
+        table = sp.BranchingTable(weights)
+        ground = {1: 0, 2: 1, 3: 1, 4: 2}    # |1>g, |2,3>g, |4>g
+        excited = {1: 0, 2: 0, 3: 1, 4: 2}   # |1,2>e, |3>e, |4>e
+        for i in range(1, 5):
+            for j in range(1, 5):
+                assert table.line_weight(i, j) == weights[ground[i], excited[j]]
+
+    @pytest.mark.parametrize("levels", [(0, 1), (1, 0), (5, 1), (1, 5)])
+    def test_line_weight_rejects_levels_outside_1_to_4(self, levels):
+        with pytest.raises(ValidationError, match="1..4"):
+            sp.MEASURED_BRANCHING["sigma"].line_weight(*levels)
+
+
+class TestLevelLayoutCheck:
+    """A table is mapped to levels by the layout, so a tensor that reorders
+    the zero-field groups of either manifold is rejected; without a table
+    no line depends on the layout."""
+
+    REORDERED = {"a_ground": a_tensor(10.0, 1.0), "a_excited": a_tensor(10.0, 1.0)}
+
+    @pytest.mark.parametrize("attribute", ["a_ground", "a_excited"])
+    def test_catalog_and_sweep_reject_a_reordered_tensor(self, attribute):
+        params = replace(PARAMS, **{attribute: self.REORDERED[attribute]})
+        manifold = attribute.split("_")[1]
+        with pytest.raises(DomainError, match=f"the {manifold} hyperfine tensor"):
+            sp.transition_catalog(params, (0.0, 0.0, 10.0), weights="sigma")
+        with pytest.raises(DomainError, match=f"the {manifold} hyperfine tensor"):
+            sp.field_sweep_map(params, (0, 0, 1), [0.0, 5.0], (-3.0, 3.0, 31),
+                               weights="pi", mixed_weights=True)
+        assert len(sp.transition_catalog(params, (0.0, 0.0, 10.0))) == 20
 
 
 class TestSynthesizeSpectrum:
@@ -682,6 +717,37 @@ class TestEprSearch:
         for ra, rb in zip(a, b):
             assert ra.pair == rb.pair
             assert abs(ra.field_mt - rb.field_mt) < 1e-3
+
+
+class TestEprOperatorPair:
+    """The resonance fields are roots of the pencil H0 + B H1 of the public
+    operator functions and the weights are the RMS drive amplitudes of
+    magnetic_dipole_operator, bit for bit."""
+
+    def test_fields_and_weights_equal_the_operator_functions(self):
+        for manifold in (Manifold.GROUND, Manifold.EXCITED):
+            for theta, phi in ((0.0, 0.0), (35.0, 10.0), (62.5, 200.0),
+                               (90.0, 0.0), (90.0, 45.0)):
+                got = sp.epr_resonance_fields(PARAMS, 9.4, theta, phi,
+                                              (10.0, 900.0), manifold=manifold)
+                direction = sp._direction_from_angles(theta, phi)
+                h0 = spinham.zeeman_operators(PARAMS, manifold)[0]
+                h1 = spinham.field_derivative_operator(
+                    PARAMS, manifold, direction) * 1e-3
+                roots = set(sp._eigenfield_roots(h0, h1, 9.4, 10.0, 900.0))
+                drive = np.stack([
+                    spinham.magnetic_dipole_operator(PARAMS, manifold, e)
+                    for e in sp._drive_directions(direction)])
+                fields = np.array([res.field_mt for res in got])
+                assert fields.size and set(fields) <= roots
+                _, states = spinham.eigensystems(PARAMS, manifold,
+                                                 fields[:, None] * direction)
+                rows = np.arange(fields.size)
+                i, j = (np.array([res.pair[k] - 1 for res in got]) for k in (0, 1))
+                amps = np.einsum("ra,kab,rb->rk", states[rows, :, i].conj(),
+                                 drive, states[rows, :, j])
+                assert np.array_equal([res.weight for res in got],
+                                      np.sqrt(np.sum(np.abs(amps) ** 2, axis=1)))
 
 
 class TestAngularRosette:

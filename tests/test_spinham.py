@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from ybcawo4 import spinham as sh
 from ybcawo4.constants import CONSTANTS
-from ybcawo4.errors import ValidationError
-from ybcawo4.params import Manifold, a_tensor, default_params, g_tensor
+from ybcawo4.errors import DomainError, ValidationError
+from ybcawo4.params import (PRESET_NAMES, Manifold, a_tensor, default_params,
+                            g_tensor)
 
 PARAMS = default_params()
 
@@ -153,6 +154,24 @@ def test_zero_field_level_splittings():
     # measured value of the full gap is 3.08387 GHz; the tabulated tensor
     # reproduces it to 0.07 percent
     assert abs(gaps["singlet-_to_singlet+"] - 3.08387) / 3.08387 < 1e-3
+
+
+def test_checked_zero_field_levels_follow_the_level_layout():
+    for preset in PRESET_NAMES:
+        params = default_params(preset)
+        for m in Manifold:
+            assert (sh.checked_zero_field_levels(params, m)
+                    == sh.zero_field_levels(params.a(m)))
+    # A_par = 10, A_perp = 1 GHz: singlets at -3 and -2 GHz, doublet on top
+    for m, attribute, layout in (
+            (Manifold.GROUND, "a_ground", "('1', '23', '4') needs (1, 2, 1)"),
+            (Manifold.EXCITED, "a_excited", "('12', '3', '4') needs (2, 1, 1)")):
+        params = replace(PARAMS, **{attribute: a_tensor(10.0, 1.0)})
+        with pytest.raises(DomainError) as err:
+            sh.checked_zero_field_levels(params, m)
+        assert str(err.value) == (f"the {m.value} hyperfine tensor gives zero-field "
+                                  f"multiplicities (1, 1, 2) in ascending energy, "
+                                  f"but the level layout {layout}")
 
 
 def test_zero_field_levels_all_zero_tensor():
