@@ -197,19 +197,19 @@ def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
     weights = None if args.pol == "uniform" else args.pol
     lines = spectra.transition_catalog(config.params, _field_from_arg(args.field),
                                        weights=weights)
+    fwhm_mhz = config.params.fwhm_optical_mhz
     spectrum = spectra.synthesize_spectrum(
-        [ln for ln in lines if ln.isotope == "171Yb"], args.fwhm_mhz,
+        [ln for ln in lines if ln.isotope == "171Yb"], fwhm_mhz,
         _grid_from_arg(args.grid))
     i0 = [ln for ln in lines if ln.isotope == "I0"]
     if i0:
-        extra = spectra.synthesize_spectrum(i0, args.fwhm_mhz,
+        extra = spectra.synthesize_spectrum(i0, fwhm_mhz,
                                             _grid_from_arg(args.grid))
         spectrum = spectra.Spectrum(spectrum.detuning_ghz,
                                     spectrum.absorption + extra.absorption)
     out = config.out_dir / "spectrum.csv"
     csvio.write_spectrum(out, spectrum)
-    clusters = spectra.label_line_clusters(lines,
-                                           config.params.fwhm_optical_mhz * 1e-3)
+    clusters = spectra.label_line_clusters(lines, fwhm_mhz * 1e-3)
     line_rows = []
     for cluster in clusters:
         for ln in cluster.lines:
@@ -341,6 +341,7 @@ def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_budget(config: RunConfig, args) -> list[Path]:
+    t1 = config.params.t1_optical_s
     rows = []
     if args.t2 is not None:
         if args.mode == "spin":
@@ -350,14 +351,13 @@ def _cmd_budget(config: RunConfig, args) -> list[Path]:
                   f"rate R_ff = {rate:.4g} s^-1")
             budget = dynamics.coherence_budget_spin({(1, 4): rate})
         else:
-            total = dynamics.optical_flipflop_from_t2(args.t2, args.t1)
+            total = dynamics.optical_flipflop_from_t2(args.t2, t1)
             rows.append(["inferred_spin_decay_total_s^-1", total])
             print(f"measured T2 = {args.t2} s implies total spin decay "
                   f"{total:.4g} s^-1 on top of 1/(2 T1)")
-            budget = dynamics.coherence_budget_optical(args.t1,
-                                                       {"inferred": total})
+            budget = dynamics.coherence_budget_optical(t1, {"inferred": total})
     elif args.mode == "optical":
-        budget = dynamics.coherence_budget_optical(args.t1)
+        budget = dynamics.coherence_budget_optical(t1)
     else:
         budget = dynamics.coherence_budget_spin({})
     print(budget.describe())
@@ -379,8 +379,7 @@ def _cmd_budget(config: RunConfig, args) -> list[Path]:
 
 def _cmd_pump(config: RunConfig, args) -> list[Path]:
     pump_config = dynamics.PumpConfig(duration_s=args.duration,
-                                      temperature_k=args.temperature,
-                                      t1_optical_s=config.params.t1_optical_s)
+                                      temperature_k=args.temperature)
     result = dynamics.pump_simulation(pump_config, config.params)
     out = config.out_dir / "pump.csv"
     stride = max(1, result.times_s.size // args.max_rows)
@@ -496,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("uniform", "sigma", "pi", "alpha"))
     p.add_argument("--field", default="0,0,0")
     p.add_argument("--grid", default="-3.2,4.2,2001")
-    p.add_argument("--fwhm-mhz", type=float, default=185.0)
 
     p = sub.add_parser("sweep", help="absorption map over a field sweep")
     p.add_argument("--axis", default="a")
@@ -507,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("uniform", "sigma", "pi", "alpha"))
     p.add_argument("--mixed-weights", action="store_true")
     p.add_argument("--grid", default="-4.5,5.0,1500")
-    p.add_argument("--fwhm-171-mhz", type=float, default=136.0)
-    p.add_argument("--fwhm-i0-mhz", type=float, default=153.0)
+    p.add_argument("--fwhm-171-mhz", type=float,
+                   default=spectra.SWEEP_FWHM_171_MHZ)
+    p.add_argument("--fwhm-i0-mhz", type=float, default=spectra.SWEEP_FWHM_I0_MHZ)
 
     p = sub.add_parser("epr", help="EPR resonance fields at one orientation")
     p.add_argument("--freq-ghz", type=float, default=9.4)
@@ -548,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="coherence budgets and their inversion")
     p.add_argument("--mode", default="spin", choices=("spin", "optical"))
-    p.add_argument("--t1", type=float, default=0.385e-3)
     p.add_argument("--t2", type=float, default=None,
                    help="measured T2 in s: infer the flip-flop rate")
 

@@ -225,7 +225,6 @@ class PumpConfig:
     duration_s: float = 0.3
     branching: BranchingTable = field(
         default_factory=lambda: MEASURED_BRANCHING["sigma"])
-    t1_optical_s: float = 0.385e-3
     temperature_k: float = 0.05
     slr_doublet: SlrParams = SLR_DOUBLET
     slr_upper: SlrParams = SLR_UPPER
@@ -251,7 +250,7 @@ def _pump_rate_matrix(config: PumpConfig, params: SpinSystemParams) -> np.ndarra
     # optical decay with branching: excited level j decays at 1/T1, split
     # over ground groups by the table column of j's group, then equally over
     # the group members
-    decay = 1.0 / config.t1_optical_s
+    decay = 1.0 / params.t1_optical_s
     w = config.branching.weights
     totals = w.sum(axis=0)
     if np.any(totals <= 0):
@@ -284,8 +283,8 @@ class PumpResult:
         return self.populations[-1]
 
 
-# Cash-Karp embedded Runge-Kutta pair (orders 4 and 5)
-_CK_A = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+# Cash-Karp embedded Runge-Kutta pair (orders 4 and 5); the generator is
+# constant, so the stage nodes never enter
 _CK_B = (
     (),
     (1 / 5,),
@@ -342,9 +341,7 @@ def pump_simulation(config: PumpConfig, params: SpinSystemParams,
     """
     matrix = _pump_rate_matrix(config, params)
     if initial is None:
-        y0 = np.zeros(8)
-        y0[:4] = boltzmann_populations(ground_level_energies(params),
-                                       config.temperature_k)
+        y0 = equilibrium_populations(params, config.temperature_k)
     else:
         y0 = np.asarray(initial, dtype=float)
         if y0.shape != (8,) or abs(y0.sum() - 1.0) > 1e-9 or np.any(y0 < 0):
@@ -412,16 +409,13 @@ def coherence_budget_optical(t1_s: float, flipflop: dict | None = None,
 
 
 def coherence_budget_spin(flipflop: dict | None = None, slr: dict | None = None,
-                          polarized: bool = True,
-                          excitation_fraction: float = 0.005) -> RateBudget:
+                          polarized: bool = True) -> RateBudget:
     """Spin-transition budget from flip-flop and spin-lattice channels.
 
     Unpolarized: every channel out of either clock level contributes half
     its rate.  Polarized with a small excited fraction: only the flip-flop
     on the clock pair itself survives, pi Gamma_h = R_ff(clock)/2.
     """
-    if not 0 < excitation_fraction <= 1:
-        raise ValidationError("excitation fraction must lie in (0, 1]")
     flipflop = flipflop or {}
     slr = slr or {}
     if polarized:

@@ -14,8 +14,9 @@ from . import spectra, spinham
 from .constants import (C_LIGHT_M_S, CONSTANTS, E_CHARGE_C, EPSILON0_F_M,
                         M_ELECTRON_KG)
 from .errors import DomainError, ValidationError
-from .params import (GROUND_GROUPS, GROUND_MULTIPLICITIES, Manifold,
-                     SpinSystemParams, g_tensor)
+from .params import (FIELD_SWEEP_SCALE_G_PER_A, GROUND_GROUPS,
+                     GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
+                     default_params, g_tensor)
 from .dynamics import boltzmann_populations
 
 
@@ -356,23 +357,28 @@ class SweepData:
             raise ValidationError("absorption block does not match grid/currents")
 
 
+_SWEEP_FIT_G = default_params("field-sweep-fit").g_excited
+
+
 @dataclass(frozen=True)
 class FieldSweepFitSpec:
     """Free parameters of the sweep fit and their starting values.
 
     Free: the excited-state g components, one current-to-field scale per
     sweep (G/A), the two isotope amplitudes, and a global frequency offset.
-    The ground tensors and the two Gaussian widths stay fixed.
+    The ground tensors and the two Gaussian widths stay fixed.  The g and
+    scale defaults are those of the "field-sweep-fit" preset and its
+    perpendicular coil.
     """
 
-    g_e_parallel: float = -1.451
-    g_e_perpendicular: float = 1.361
-    scales_g_per_a: tuple = (166.20,)
+    g_e_parallel: float = _SWEEP_FIT_G.parallel
+    g_e_perpendicular: float = _SWEEP_FIT_G.perpendicular
+    scales_g_per_a: tuple = (FIELD_SWEEP_SCALE_G_PER_A["perpendicular"],)
     amplitude_171: float = 1.0
     amplitude_i0: float = 1.0
     offset_ghz: float = 0.0
-    fwhm_171_mhz: float = 136.0
-    fwhm_i0_mhz: float = 153.0
+    fwhm_171_mhz: float = spectra.SWEEP_FWHM_171_MHZ
+    fwhm_i0_mhz: float = spectra.SWEEP_FWHM_I0_MHZ
 
 
 # Lines x grid cells per Gaussian pass of the sweep model (at least one

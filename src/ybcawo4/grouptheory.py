@@ -122,16 +122,6 @@ D2D = PointGroup(
     hyperfine_doublet="G5",
 )
 
-GROUPS = {"S4": S4, "D2d": D2D}
-
-
-def point_group(name: str) -> PointGroup:
-    try:
-        return GROUPS[name]
-    except KeyError:
-        raise ValidationError(f"unknown point group {name!r}") from None
-
-
 def irrep_product(group: PointGroup, x, y) -> tuple[str, ...]:
     """Decomposition of x (x) y as a sorted multiset of base irreps.
 
@@ -411,7 +401,7 @@ def doublet_g_factors(coeffs: DoubletCoefficients) -> tuple[float, float]:
     if coeffs.j == 2.5:
         if family == "G78":
             # pure |5/2, -+1/2> doublet: no free amplitudes
-            return G_52, 3.0 * G_52
+            return sign * G_52, 3.0 * G_52
         g_par, g_perp = _g_mixed_52(a, b, coeffs.c, coeffs.d)
         return sign * g_par, g_perp
     if coeffs.c or coeffs.d:

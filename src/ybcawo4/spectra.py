@@ -22,6 +22,9 @@ from .params import (EXCITED_LEVEL_GROUP, GROUND_LEVEL_GROUP, Manifold,
                      SpinSystemParams)
 
 DEFAULT_I0_FRACTION = 0.05  # zero-spin isotope weight as a fraction of the total
+# Gaussian FWHM (MHz) of the 171Yb and I = 0 lines in the field-sweep data
+SWEEP_FWHM_171_MHZ = 136.0
+SWEEP_FWHM_I0_MHZ = 153.0
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,7 @@ def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | N
         raise ValidationError(f"unknown branching table {weights!r}") from None
 
 
-def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0,
-                  include_nuclear_zeeman: bool = True):
+def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0):
     """Optical line centres (n, 20) in GHz over an (n, 3) field stack in mT,
     and the eigenvector stacks (s_g, s_e) of the two manifolds.
 
@@ -222,10 +224,8 @@ def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0,
     that forms e_e - e_g; the catalog, the sweep map and the sweep fit all
     read their lines from it.
     """
-    e_g, s_g = spinham.eigensystems(params, Manifold.GROUND, fields_mt,
-                                    include_nuclear_zeeman)
-    e_e, s_e = spinham.eigensystems(params, Manifold.EXCITED, fields_mt,
-                                    include_nuclear_zeeman)
+    e_g, s_g = spinham.eigensystems(params, Manifold.GROUND, fields_mt)
+    e_e, s_e = spinham.eigensystems(params, Manifold.EXCITED, fields_mt)
     n = e_g.shape[0]
     centres = np.empty((n, 20))
     centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
@@ -235,7 +235,7 @@ def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0,
 
 def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
                   fields_mt: np.ndarray, zero_spin_fraction: float,
-                  mixed_states=None, include_nuclear_zeeman: bool = True) -> np.ndarray:
+                  mixed_states=None) -> np.ndarray:
     """Weights (n, 20) of the optical_lines columns over an (n, 3) field stack.
 
     171Yb lines carry the table weight of their level groups (1 with no
@@ -258,10 +258,8 @@ def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
     weights = np.empty((n, 20))
     if mixed_states is not None and table is not None:
         s_g, s_e = mixed_states
-        g0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
-                                 include_nuclear_zeeman).states
-        x0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
-                                 include_nuclear_zeeman).states
+        g0 = spinham.eigensystem(params, Manifold.GROUND).states
+        x0 = spinham.eigensystem(params, Manifold.EXCITED).states
         og = np.abs(s_g.conj().transpose(0, 2, 1) @ g0) ** 2   # [i(B), k(0)]
         oe = np.abs(s_e.conj().transpose(0, 2, 1) @ x0) ** 2
         weights[:, :16] = (og @ w0 @ oe.transpose(0, 2, 1)).reshape(n, 16)
@@ -277,32 +275,30 @@ def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
 
 def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
                        weights: BranchingTable | str | None = None,
-                       include_zero_spin: bool = True,
                        zero_spin_offset_ghz: float = 0.0,
-                       zero_spin_fraction: float = DEFAULT_I0_FRACTION,
-                       include_nuclear_zeeman: bool = True) -> list[TransitionLine]:
+                       zero_spin_fraction: float = DEFAULT_I0_FRACTION
+                       ) -> list[TransitionLine]:
     """All optical lines at one field: 16 hyperfine lines plus 4 zero-spin
     ones, or one zero-spin line of the whole I = 0 weight at zero field.
 
     weights: None for equal line strengths, a BranchingTable, or one of the
     measured-polarization names ("sigma", "pi", "alpha").  One row of
-    optical_lines and _line_weights.
+    optical_lines and _line_weights; callers that want one isotope filter on
+    TransitionLine.isotope.
     """
     table = _branching_table(weights)
     b = np.asarray(b_mt, dtype=float)
     if b.shape != (3,):
         raise ValidationError("magnetic field must be a 3-vector")
-    centres, _ = optical_lines(params, b[None], zero_spin_offset_ghz,
-                               include_nuclear_zeeman)
+    centres, _ = optical_lines(params, b[None], zero_spin_offset_ghz)
     line_weights = _line_weights(params, table, b[None], zero_spin_fraction)
     pol = table.polarization if table is not None else None
     lines = [TransitionLine(k // 4 + 1, k % 4 + 1, float(centres[0, k]),
                             float(line_weights[0, k]), pol) for k in range(16)]
-    if include_zero_spin:
-        n_i0 = 1 if _row_norms(b[None])[0] == 0.0 else 4
-        lines += [TransitionLine(k // 2 + 1, k % 2 + 1, float(centres[0, 16 + k]),
-                                 float(line_weights[0, 16 + k]), isotope="I0")
-                  for k in range(n_i0)]
+    n_i0 = 1 if _row_norms(b[None])[0] == 0.0 else 4
+    lines += [TransitionLine(k // 2 + 1, k % 2 + 1, float(centres[0, 16 + k]),
+                             float(line_weights[0, 16 + k]), isotope="I0")
+              for k in range(n_i0)]
     return lines
 
 
@@ -369,9 +365,9 @@ def label_line_clusters(lines, resolution_ghz: float) -> list[LineCluster]:
 def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
                     weights: BranchingTable | str | None = None,
                     mixed_weights: bool = False,
-                    fwhm_171_mhz: float = 136.0, fwhm_i0_mhz: float = 153.0,
-                    zero_spin_fraction: float = DEFAULT_I0_FRACTION,
-                    include_nuclear_zeeman: bool = True) -> SweepMap:
+                    fwhm_171_mhz: float = SWEEP_FWHM_171_MHZ,
+                    fwhm_i0_mhz: float = SWEEP_FWHM_I0_MHZ,
+                    zero_spin_fraction: float = DEFAULT_I0_FRACTION) -> SweepMap:
     """Spectra over a field sweep along a fixed axis, on a common grid.
 
     With mixed_weights the zero-field branching weights follow the
@@ -402,11 +398,9 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     table = _branching_table(weights)
 
     b_vecs = fields[:, None] * axis[None, :]
-    centres, states = optical_lines(params, b_vecs,
-                                    include_nuclear_zeeman=include_nuclear_zeeman)
+    centres, states = optical_lines(params, b_vecs)
     line_weights = _line_weights(params, table, b_vecs, zero_spin_fraction,
-                                 states if mixed_weights else None,
-                                 include_nuclear_zeeman)
+                                 states if mixed_weights else None)
     block = np.empty((fields.size, x.size))
     for k, (c, w) in enumerate(zip(centres, line_weights)):
         block[k] = (_kernels.gaussian_profile(x, c[:16], w[:16], fwhm_171_mhz * 1e-3)

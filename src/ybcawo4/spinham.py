@@ -11,8 +11,9 @@ nuclear arrow second, z along the crystal c axis.  Fields are mT at the
 API boundary and tesla internally.
 
 Conventions fixed here and relied on elsewhere:
-  * eigenvalues ascending; within a degenerate pair the basis diagonalizes
-    Sz (then Iz), so the zero-field doublet comes out as up-Up before dn-Dn;
+  * eigenvalues ascending; a degenerate block is ordered by descending Sz,
+    then by descending Iz among states of equal Sz, so the zero-field doublet
+    comes out as up-Up before dn-Dn;
   * eigenvector phase: largest-magnitude component real and positive.
 """
 
@@ -32,6 +33,9 @@ from .params import (EXCITED_GROUPS, EXCITED_MULTIPLICITIES, GROUND_GROUPS,
 BASIS_LABELS = ("up-Up", "up-Dn", "dn-Up", "dn-Dn")
 
 _DEGENERACY_TOL_GHZ = 1e-7
+# <Sz> values of a degenerate block closer than this count as equal, so Iz
+# orders those states
+_EQUAL_SZ_TOL = 1e-9
 
 
 def spin_half_operators():
@@ -68,21 +72,20 @@ _FLIP_FLOP = _read_only(S_OPS[0] @ I_OPS[0] + S_OPS[1] @ I_OPS[1])
 _AXIAL = _read_only(S_OPS[2] @ I_OPS[2])
 
 
-def zeeman_operators(params: SpinSystemParams, manifold: Manifold,
-                     include_nuclear_zeeman: bool = True):
+def zeeman_operators(params: SpinSystemParams, manifold: Manifold):
     """The read-only pair (H0, Z) of the manifold's H(B) = H0 + sum_a B_a Z_a.
 
     H0 (4, 4) is the zero-field (hyperfine) Hamiltonian in GHz; Z (3, 4, 4)
     holds Z_a = dH/dB_a = (mu_B/h) g_a S_a - (mu_n/h) g_n I_a in GHz/T, with
     g_x = g_y = g_perp and g_z = g_par.  The only place the Zeeman term is
-    written; include_nuclear_zeeman=False drops its nuclear part.
+    written; params with g_n = 0 drop its nuclear part.
     """
     a = params.a(manifold)
     g = params.g(manifold)
     h0 = a.perpendicular * _FLIP_FLOP + a.parallel * _AXIAL
     ze = CONSTANTS.mu_b_ghz_per_t * np.array([g.perpendicular, g.perpendicular,
                                               g.parallel])
-    zn = params.g_n * CONSTANTS.mu_n_ghz_per_t if include_nuclear_zeeman else 0.0
+    zn = params.g_n * CONSTANTS.mu_n_ghz_per_t
     return _read_only(h0), _read_only(ze[:, None, None] * _S_STACK - zn * _I_STACK)
 
 
@@ -96,25 +99,24 @@ def _fields_t(fields_mt) -> np.ndarray:
     return fields * 1e-3
 
 
-def hamiltonians(params: SpinSystemParams, manifold: Manifold, fields_mt,
-                 include_nuclear_zeeman: bool = True) -> np.ndarray:
+def hamiltonians(params: SpinSystemParams, manifold: Manifold,
+                 fields_mt) -> np.ndarray:
     """Stack (n, 4, 4) of Hermitian matrices in GHz over an (n, 3) field stack (mT).
 
     The one place that turns parameters into Hamiltonians: the operator pair
     of zeeman_operators through the raw-operator kernel.
     """
     return _kernels.hamiltonians(
-        *zeeman_operators(params, manifold, include_nuclear_zeeman),
-        _fields_t(fields_mt))
+        *zeeman_operators(params, manifold), _fields_t(fields_mt))
 
 
-def build_hamiltonian(params: SpinSystemParams, manifold: Manifold, b_mt,
-                      include_nuclear_zeeman: bool = True) -> np.ndarray:
+def build_hamiltonian(params: SpinSystemParams, manifold: Manifold,
+                      b_mt) -> np.ndarray:
     """4x4 Hermitian matrix in GHz for the given manifold and field (mT)."""
     b = np.asarray(b_mt, dtype=float)
     if b.shape != (3,):
         raise ValidationError("magnetic field must be a 3-vector")
-    return hamiltonians(params, manifold, b[None, :], include_nuclear_zeeman)[0]
+    return hamiltonians(params, manifold, b[None, :])[0]
 
 
 def field_derivative_operator(params: SpinSystemParams, manifold: Manifold,
@@ -161,23 +163,34 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(values, tol: float):
+    """(start, stop) of each run of values within tol of the run's first value."""
+    start = 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or abs(values[k] - values[start]) >= tol:
+            yield start, k
+            start = k
+
+
+def _descending(block: np.ndarray, op: np.ndarray):
+    """The expectation values of op, descending, and the block's columns
+    rotated onto the basis that diagonalizes op within their span."""
+    m = block.conj().T @ op @ block
+    values, u = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return values[::-1], block @ u[:, ::-1]
+
+
 def _resolve_degeneracies(energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Rotate each degenerate subspace onto the basis diagonalizing Sz, then Iz."""
-    sz, iz = S_OPS[2], I_OPS[2]
+    """Rotate each degenerate subspace onto the basis diagonalizing Sz, then
+    Iz within each run of equal <Sz>, both in descending order."""
     vecs = vectors.copy()
-    i = 0
-    while i < 4:
-        j = i + 1
-        while j < 4 and energies[j] - energies[i] < _DEGENERACY_TOL_GHZ:
-            j += 1
+    for i, j in _runs(energies, _DEGENERACY_TOL_GHZ):
         if j - i > 1:
-            block = vecs[:, i:j]
-            for op in (sz, iz):
-                m = block.conj().T @ op @ block
-                _, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-                block = block @ u[:, ::-1]  # descending expectation value
+            sz, block = _descending(vecs[:, i:j], S_OPS[2])
+            for p, q in _runs(sz, _EQUAL_SZ_TOL):
+                if q - p > 1:
+                    block[:, p:q] = _descending(block[:, p:q], I_OPS[2])[1]
             vecs[:, i:j] = block
-        i = j
     return vecs
 
 
@@ -204,34 +217,30 @@ def diagonalize(h: np.ndarray, field_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
                        field_mt=np.asarray(field_mt, dtype=float))
 
 
-def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt,
-                 include_nuclear_zeeman: bool = True):
+def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt):
     """Energies (n, 4) and eigenvector columns (n, 4, 4) over a field stack (mT).
 
     states[r, :, k] belongs to energies[r, k]; every row follows the same
     conventions as eigensystem, which is the one-row case of this function.
     """
-    return _eigh_stack(hamiltonians(params, manifold, fields_mt,
-                                    include_nuclear_zeeman))
+    return _eigh_stack(hamiltonians(params, manifold, fields_mt))
 
 
-def eigensystem(params: SpinSystemParams, manifold: Manifold, b_mt=(0.0, 0.0, 0.0),
-                include_nuclear_zeeman: bool = True) -> EigenSystem:
+def eigensystem(params: SpinSystemParams, manifold: Manifold,
+                b_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
     b = np.asarray(b_mt, dtype=float)
     if b.shape != (3,):
         raise ValidationError("magnetic field must be a 3-vector")
-    energies, states = eigensystems(params, manifold, b[None, :],
-                                    include_nuclear_zeeman)
+    energies, states = eigensystems(params, manifold, b[None, :])
     return EigenSystem(energies=energies[0], states=states[0], field_mt=b)
 
 
-def manifold_energies(params: SpinSystemParams, manifold: Manifold, fields_mt,
-                      include_nuclear_zeeman: bool = True) -> np.ndarray:
+def manifold_energies(params: SpinSystemParams, manifold: Manifold,
+                      fields_mt) -> np.ndarray:
     """Ascending energies (n, 4) over a batch of fields (mT); the inputs of
     hamiltonians, diagonalized by the eigvalsh kernel."""
     return _kernels.manifold_energies(
-        *zeeman_operators(params, manifold, include_nuclear_zeeman),
-        _fields_t(np.atleast_2d(fields_mt)))
+        *zeeman_operators(params, manifold), _fields_t(np.atleast_2d(fields_mt)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,7 @@ _PRODUCT_STATES = tuple(np.eye(4, dtype=complex))
 
 
 def high_field_states(manifold: Manifold, b_parallel_mt: float,
-                      params: SpinSystemParams, warn: bool = True):
+                      params: SpinSystemParams):
     """Product-state assignment in the strong-field limit along c.
 
     Returns [(basis label, basis vector), ...] for levels |1>..|4| ordered by
@@ -336,7 +345,7 @@ def high_field_states(manifold: Manifold, b_parallel_mt: float,
     a = params.a(manifold)
     ze_par = params.g(manifold).parallel * CONSTANTS.mu_b_ghz_per_t
     b_t = b_parallel_mt * 1e-3
-    if warn and abs(ze_par * b_t) < 10.0 * max(abs(a.parallel), abs(a.perpendicular)):
+    if abs(ze_par * b_t) < 10.0 * max(abs(a.parallel), abs(a.perpendicular)):
         import warnings
         warnings.warn("field is not deep in the high-field regime; product-state "
                       "labels may not match the exact eigenvectors", stacklevel=2)

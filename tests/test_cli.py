@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ybcawo4 import cli, csvio, dynamics, fitting
+from ybcawo4 import cli, csvio, dynamics, fitting, spectra
 from ybcawo4.errors import ValidationError
 from ybcawo4.params import GROUND_MULTIPLICITIES, default_params
 
@@ -189,6 +189,38 @@ class TestSubcommands:
         code = run_cli("--out", tmp_path / "y", "fit", "--model", "decay",
                        "--data", data)
         assert code == 2
+
+
+class TestOneInputPerQuantity:
+    """The optical linewidth and T1 come from the parameters alone."""
+
+    def test_spectrum_drawn_at_the_set_linewidth(self, tmp_path, capsys):
+        out = tmp_path / "wide"
+        assert run_cli("--out", out, "--set", "system.fwhm_optical_MHz=400",
+                       "spectrum") == 0
+        assert capsys.readouterr().out.startswith("5 resolvable peaks")
+        data = csvio.read_measurement_csv(out / "spectrum.csv", "spectrum")
+        lines = spectra.transition_catalog(default_params())
+        expected = sum(spectra.synthesize_spectrum(
+            [ln for ln in lines if ln.isotope == isotope], 400.0,
+            data["detuning_GHz"]).absorption for isotope in ("171Yb", "I0"))
+        assert np.allclose(data["absorption"], expected, rtol=1e-11, atol=0.0)
+
+    def test_optical_budget_uses_the_set_t1(self, tmp_path):
+        out = tmp_path / "budget"
+        assert run_cli("--out", out, "--set", "system.T1_optical_s=1e-3",
+                       "budget", "--mode", "optical") == 0
+        payload = json.loads((out / "budget.json").read_text())
+        # no spin channels: T2 = 2 T1
+        assert payload["t2_s"] == pytest.approx(2e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--fwhm-mhz", "400"],
+                                      ["budget", "--t1", "1e-3"]])
+    def test_removed_options_exit_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--out", tmp_path / "x", *argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLevelLayoutCheck:

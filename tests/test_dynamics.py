@@ -250,7 +250,7 @@ def _reference_expand_ground_generator(group_gen):
 def _reference_pump_rate_matrix(config, params):
     excited_group_of_level = {1: 0, 2: 0, 3: 1, 4: 2}
     m = np.zeros((8, 8))
-    decay = 1.0 / config.t1_optical_s
+    decay = 1.0 / params.t1_optical_s
     w = config.branching.weights
     members = {0: [0], 1: [1, 2], 2: [3]}
     for j in range(4):
@@ -311,12 +311,12 @@ class TestLevelGroupLifting:
             transitions = tuple(((int(g), int(e)), float(r)) for g, e, r in
                                 zip(rng.integers(1, 5, 6), rng.integers(1, 5, 6),
                                     rates))
-            config = dyn.PumpConfig(transitions=transitions,
-                                    branching=_random_branching(rng),
-                                    t1_optical_s=rng.uniform(1e-5, 1e-2),
+            branching = _random_branching(rng)
+            params = replace(PARAMS, t1_optical_s=rng.uniform(1e-5, 1e-2))
+            config = dyn.PumpConfig(transitions=transitions, branching=branching,
                                     temperature_k=float(temperatures[k % 12]))
-            assert np.array_equal(dyn._pump_rate_matrix(config, PARAMS),
-                                  _reference_pump_rate_matrix(config, PARAMS))
+            assert np.array_equal(dyn._pump_rate_matrix(config, params),
+                                  _reference_pump_rate_matrix(config, params))
 
     def test_measured_tables_equal_the_loops(self):
         for table in MEASURED_BRANCHING.values():

@@ -304,6 +304,18 @@ class TestDoubletGFactors:
             assert gt.doublet_g_factors(mixed)[1] >= 0.0
         assert seen_negative_product
 
+    def test_order_flips_the_sign_of_g_parallel_on_every_branch(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a, b, c, d = rng.normal(size=4)
+            branches = [dict(j=j, family=family) for j in (2.5, 3.5)
+                        for family in ("G56", "G78")]
+            branches.append(dict(c=c, d=d, j=2.5))
+            for branch in branches:
+                upper, lower = (gt.doublet_g_factors(gt.DoubletCoefficients.normalized(
+                    a, b, order=order, **branch)) for order in ("upper", "lower"))
+                assert lower == (-upper[0], upper[1])
+
     def test_unmixed_52_doublet_is_the_mixed_formula_at_zero_mixing(self):
         rng = np.random.default_rng(4)
         for _ in range(500):

@@ -12,6 +12,11 @@ from ybcawo4.errors import DomainError, NumericalError, ValidationError
 from ybcawo4.params import Manifold, a_tensor, default_params, g_tensor
 
 PARAMS = default_params()
+NO_NUCLEAR_ZEEMAN = replace(PARAMS, g_n=0.0)
+
+
+def _yb_lines(lines):
+    return [ln for ln in lines if ln.isotope == "171Yb"]
 
 
 class TestTransitionCatalog:
@@ -26,7 +31,7 @@ class TestTransitionCatalog:
         assert len(at_field) == 20
 
     def test_zero_field_landmark_detunings(self):
-        yb = [ln for ln in sp.transition_catalog(PARAMS, include_zero_spin=False)]
+        yb = _yb_lines(sp.transition_catalog(PARAMS))
         by_pair = {(ln.ground_index, ln.excited_index): ln.detuning_ghz for ln in yb}
         assert by_pair[(4, 4)] == pytest.approx(0.33930, abs=1e-5)
         assert by_pair[(1, 4)] == pytest.approx(3.42117, abs=1e-5)
@@ -34,7 +39,7 @@ class TestTransitionCatalog:
         assert detunings[-1] - detunings[0] == pytest.approx(5.88, abs=0.01)
 
     def test_nine_distinct_detunings_with_multiplicities(self):
-        yb = sp.transition_catalog(PARAMS, include_zero_spin=False)
+        yb = _yb_lines(sp.transition_catalog(PARAMS))
         counts = Counter(round(ln.detuning_ghz, 9) for ln in yb)
         assert len(counts) == 9
         # 4 lines between non-degenerate levels, 4 doubled singlet-doublet
@@ -54,8 +59,7 @@ class TestTransitionCatalog:
         assert total_i0 == pytest.approx(0.05 * total_yb, rel=1e-12)
 
     def test_branching_weights_applied(self):
-        lines = sp.transition_catalog(PARAMS, weights="sigma",
-                                      include_zero_spin=False)
+        lines = _yb_lines(sp.transition_catalog(PARAMS, weights="sigma"))
         by_pair = {(ln.ground_index, ln.excited_index): ln.weight for ln in lines}
         assert by_pair[(1, 1)] == pytest.approx(0.3)
         assert by_pair[(1, 4)] == 0.0
@@ -215,14 +219,12 @@ class TestFieldSweepMap:
             sp.field_sweep_map(PARAMS, (1, 0, 0), [0.0], (-1, 1, 100))
 
 
-def _reference_mixed_weight_table(params, b_mt, table, include_nuclear_zeeman):
+def _reference_mixed_weight_table(params, b_mt, table):
     """Per-field mixed weights, as field_sweep_map computed them field by field."""
-    eg0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0),
-                              include_nuclear_zeeman)
-    ee0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0),
-                              include_nuclear_zeeman)
-    eg = spinham.eigensystem(params, Manifold.GROUND, b_mt, include_nuclear_zeeman)
-    ee = spinham.eigensystem(params, Manifold.EXCITED, b_mt, include_nuclear_zeeman)
+    eg0 = spinham.eigensystem(params, Manifold.GROUND, (0, 0, 0))
+    ee0 = spinham.eigensystem(params, Manifold.EXCITED, (0, 0, 0))
+    eg = spinham.eigensystem(params, Manifold.GROUND, b_mt)
+    ee = spinham.eigensystem(params, Manifold.EXCITED, b_mt)
     og = np.abs(eg.states.conj().T @ eg0.states) ** 2
     oe = np.abs(ee.states.conj().T @ ee0.states) ** 2
     w0 = np.empty((4, 4))
@@ -248,16 +250,13 @@ def _reference_zero_spin_lines(params, b_mt, offset_ghz, total_weight):
 
 def _reference_catalog(params, b_mt=(0.0, 0.0, 0.0), weights=None,
                        include_zero_spin=True, zero_spin_offset_ghz=0.0,
-                       zero_spin_fraction=sp.DEFAULT_I0_FRACTION,
-                       include_nuclear_zeeman=True):
+                       zero_spin_fraction=sp.DEFAULT_I0_FRACTION):
     """The old transition_catalog body: one eigensystem per manifold at one
     field, a nested loop over the level pairs and a running weight total."""
     if isinstance(weights, str):
         weights = sp.MEASURED_BRANCHING[weights]
-    e_g = spinham.eigensystem(params, Manifold.GROUND, b_mt,
-                              include_nuclear_zeeman).energies
-    e_e = spinham.eigensystem(params, Manifold.EXCITED, b_mt,
-                              include_nuclear_zeeman).energies
+    e_g = spinham.eigensystem(params, Manifold.GROUND, b_mt).energies
+    e_e = spinham.eigensystem(params, Manifold.EXCITED, b_mt).energies
     pol = weights.polarization if weights is not None else None
     lines = []
     total = 0.0
@@ -275,8 +274,7 @@ def _reference_catalog(params, b_mt=(0.0, 0.0, 0.0), weights=None,
 def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
                          mixed_weights=False, fwhm_171_mhz=136.0,
                          fwhm_i0_mhz=153.0,
-                         zero_spin_fraction=sp.DEFAULT_I0_FRACTION,
-                         include_nuclear_zeeman=True):
+                         zero_spin_fraction=sp.DEFAULT_I0_FRACTION):
     """The per-field loop over the old catalog and synthesize_spectrum."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -289,11 +287,8 @@ def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
     for k, b in enumerate(fields):
         b_vec = b * axis
         if mixed_weights and weights is not None:
-            w = _reference_mixed_weight_table(params, b_vec, weights,
-                                              include_nuclear_zeeman)
-            lines = _reference_catalog(
-                params, b_vec, None, include_zero_spin=False,
-                include_nuclear_zeeman=include_nuclear_zeeman)
+            w = _reference_mixed_weight_table(params, b_vec, weights)
+            lines = _reference_catalog(params, b_vec, None, include_zero_spin=False)
             lines = [sp.TransitionLine(
                 ln.ground_index, ln.excited_index, ln.detuning_ghz,
                 float(w[ln.ground_index - 1, ln.excited_index - 1]),
@@ -303,8 +298,7 @@ def _reference_sweep_map(params, axis, field_values_mt, grid, weights=None,
                                                 zero_spin_fraction * total)
         else:
             lines = _reference_catalog(
-                params, b_vec, weights, zero_spin_fraction=zero_spin_fraction,
-                include_nuclear_zeeman=include_nuclear_zeeman)
+                params, b_vec, weights, zero_spin_fraction=zero_spin_fraction)
         yb = [ln for ln in lines if ln.isotope == "171Yb"]
         i0 = [ln for ln in lines if ln.isotope == "I0"]
         y = sp.synthesize_spectrum(yb, fwhm_171_mhz, x).absorption
@@ -339,10 +333,9 @@ class TestBatchedSweepMapEqualsPerFieldLoop:
     def test_oblique_axis_through_zero_without_nuclear_zeeman(self, mixed):
         grid = (-3.0, 4.0, 300)
         fields = np.linspace(-50.0, 50.0, 11)  # row 5 is the zero field
-        params = default_params("field-sweep-fit")
+        params = replace(default_params("field-sweep-fit"), g_n=0.0)
         kwargs = dict(weights="pi", mixed_weights=mixed, fwhm_171_mhz=90.0,
-                      fwhm_i0_mhz=120.0, zero_spin_fraction=0.2,
-                      include_nuclear_zeeman=False)
+                      fwhm_i0_mhz=120.0, zero_spin_fraction=0.2)
         sweep = sp.field_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
         x, block = _reference_sweep_map(params, (1, 1, 1), fields, grid, **kwargs)
         assert np.array_equal(sweep.absorption, block)
@@ -418,19 +411,19 @@ class TestOpticalLines:
         rng = np.random.default_rng(21)
         fields = np.concatenate([rng.uniform(-300, 300, size=(12, 3)),
                                  np.zeros((1, 3))])
-        for nuclear in (True, False):
-            centres, (s_g, s_e) = sp.optical_lines(PARAMS, fields, 0.3, nuclear)
+        for params in (PARAMS, NO_NUCLEAR_ZEEMAN):
+            centres, (s_g, s_e) = sp.optical_lines(params, fields, 0.3)
             assert centres.shape == (fields.shape[0], 20)
             for row, b in enumerate(fields):
-                eg = spinham.eigensystem(PARAMS, Manifold.GROUND, b, nuclear)
-                ee = spinham.eigensystem(PARAMS, Manifold.EXCITED, b, nuclear)
+                eg = spinham.eigensystem(params, Manifold.GROUND, b)
+                ee = spinham.eigensystem(params, Manifold.EXCITED, b)
                 assert np.array_equal(s_g[row], eg.states)
                 assert np.array_equal(s_e[row], ee.states)
                 for i in range(4):
                     for j in range(4):
                         assert centres[row, 4 * i + j] == ee.energies[j] - eg.energies[i]
                 expected = ([0.3] * 4 if not b.any()
-                            else _reference_zero_spin_centers(PARAMS, b, 0.3))
+                            else _reference_zero_spin_centers(params, b, 0.3))
                 assert centres[row, 16:].tolist() == expected
 
     @pytest.mark.parametrize("weights", [None, "sigma", "pi", _CUSTOM_TABLE],
@@ -440,12 +433,16 @@ class TestOpticalLines:
         fields = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.0, 0.0, 50.0),
                   *rng.uniform(-200, 200, size=(8, 3))]
         for k, b in enumerate(fields):
-            kwargs = dict(weights=weights, include_zero_spin=k % 3 != 2,
+            kwargs = dict(weights=weights,
                           zero_spin_offset_ghz=float(rng.normal()) if k % 2 else 0.0,
-                          zero_spin_fraction=float(rng.uniform(0, 0.3)),
-                          include_nuclear_zeeman=k % 4 != 1)
-            got = sp.transition_catalog(PARAMS, b, **kwargs)
-            assert got == _reference_catalog(PARAMS, b, **kwargs)
+                          zero_spin_fraction=float(rng.uniform(0, 0.3)))
+            params = NO_NUCLEAR_ZEEMAN if k % 4 == 1 else PARAMS
+            with_zero_spin = k % 3 != 2
+            got = sp.transition_catalog(params, b, **kwargs)
+            if not with_zero_spin:
+                got = _yb_lines(got)
+            assert got == _reference_catalog(params, b, include_zero_spin=with_zero_spin,
+                                             **kwargs)
 
     def test_catalog_rejects_a_bad_field(self):
         with pytest.raises(ValidationError, match="3-vector"):

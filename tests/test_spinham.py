@@ -14,6 +14,7 @@ from ybcawo4.params import (PRESET_NAMES, Manifold, a_tensor, default_params,
                             g_tensor)
 
 PARAMS = default_params()
+NO_NUCLEAR_ZEEMAN = replace(PARAMS, g_n=0.0)
 
 
 def test_spin_half_operators_algebra():
@@ -246,6 +247,16 @@ def test_high_field_assignment_under_positive_sign_conventions():
         assert gnd == ["dn-Up", "dn-Dn", "up-Dn", "up-Up"]
 
 
+def test_degenerate_block_ordered_by_sz_then_iz():
+    # no hyperfine coupling: all four states are degenerate at zero field
+    params = replace(PARAMS, a_ground=a_tensor(0.0, 0.0),
+                     a_excited=a_tensor(0.0, 0.0))
+    for manifold in Manifold:
+        states = sh.eigensystem(params, manifold).states
+        # columns up-Up, up-Dn, dn-Up, dn-Dn: Sz descending, then Iz
+        assert np.abs(states - np.eye(4)).max() <= 1e-15
+
+
 def test_high_field_warns_outside_regime():
     with pytest.warns(UserWarning):
         sh.high_field_states(Manifold.GROUND, 10.0, PARAMS)
@@ -361,13 +372,12 @@ def test_eigensystems_equal_per_row_diagonalize():
                              np.zeros((2, 3)),  # degenerate rows
                              np.linspace(-60, 60, 13)[:, None] * axis])
     for manifold in Manifold:
-        for nuclear in (True, False):
-            energies, states = sh.eigensystems(PARAMS, manifold, fields, nuclear)
+        for params in (PARAMS, NO_NUCLEAR_ZEEMAN):
+            energies, states = sh.eigensystems(params, manifold, fields)
             assert energies.shape == (fields.shape[0], 4)
             assert states.shape == (fields.shape[0], 4, 4)
             for row, b in enumerate(fields):
-                ref = sh.diagonalize(sh.build_hamiltonian(PARAMS, manifold, b,
-                                                          nuclear), b)
+                ref = sh.diagonalize(sh.build_hamiltonian(params, manifold, b), b)
                 assert np.array_equal(energies[row], ref.energies)
                 assert np.array_equal(states[row], ref.states)
 
@@ -387,15 +397,14 @@ def test_hamiltonian_stack_equals_single_builds():
     rng = np.random.default_rng(10)
     fields = np.concatenate([rng.uniform(-400, 400, size=(16, 3)), np.zeros((1, 3))])
     for manifold in Manifold:
-        for nuclear in (True, False):
-            stack = sh.hamiltonians(PARAMS, manifold, fields, nuclear)
+        for params in (PARAMS, NO_NUCLEAR_ZEEMAN):
+            stack = sh.hamiltonians(params, manifold, fields)
             assert stack.shape == (fields.shape[0], 4, 4)
             for row, b in enumerate(fields):
                 assert np.array_equal(
-                    stack[row], sh.build_hamiltonian(PARAMS, manifold, b, nuclear))
+                    stack[row], sh.build_hamiltonian(params, manifold, b))
             assert np.array_equal(np.linalg.eigvalsh(stack),
-                                  sh.manifold_energies(PARAMS, manifold, fields,
-                                                       nuclear))
+                                  sh.manifold_energies(params, manifold, fields))
 
 
 def test_stack_builder_and_energies_reject_bad_fields():
@@ -542,13 +551,12 @@ def test_operator_pair_matches_hand_typed_forms():
         for manifold in Manifold:
             a, g = params.a(manifold), params.g(manifold)
             mu_b = CONSTANTS.mu_b_ghz_per_t
-            for nuclear in (True, False):
-                zn = params.g_n * CONSTANTS.mu_n_ghz_per_t if nuclear else 0.0
+            for variant in (params, replace(params, g_n=0.0)):
+                zn = variant.g_n * CONSTANTS.mu_n_ghz_per_t
                 ref = _reference_hamiltonians(a.parallel, a.perpendicular,
                                               g.parallel * mu_b, g.perpendicular * mu_b,
                                               zn, fields * 1e-3)
-                _assert_rows_close(sh.hamiltonians(params, manifold, fields, nuclear),
-                                   ref)
+                _assert_rows_close(sh.hamiltonians(variant, manifold, fields), ref)
             _assert_rows_close(sh.field_derivative_operator(params, manifold, direction),
                                _reference_field_derivative(params, manifold, direction))
             _assert_rows_close(sh.magnetic_dipole_operator(params, manifold, direction),
@@ -567,7 +575,7 @@ def test_zeeman_operators_are_the_read_only_zero_field_and_slope_pair():
         zeeman[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         h0[0, 0] = 1.0
-    _, electronic = sh.zeeman_operators(PARAMS, Manifold.EXCITED, False)
+    _, electronic = sh.zeeman_operators(NO_NUCLEAR_ZEEMAN, Manifold.EXCITED)
     g = PARAMS.g_excited
     assert np.array_equal(electronic[2], CONSTANTS.mu_b_ghz_per_t * g.parallel
                           * sh.S_OPS[2])
@@ -583,9 +591,9 @@ _FIELD_COMPONENTS = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False
        data=st.data(), manifold=st.sampled_from(Manifold), nuclear=st.booleans())
 def test_hamiltonians_hermitian_and_affine_in_field(b1, data, manifold, nuclear):
     b2 = data.draw(hnp.arrays(np.float64, b1.shape, elements=_FIELD_COMPONENTS))
-    h0 = sh.zeeman_operators(PARAMS, manifold, nuclear)[0]
-    h1, h2, h12 = (sh.hamiltonians(PARAMS, manifold, b, nuclear)
-                   for b in (b1, b2, b1 + b2))
+    params = PARAMS if nuclear else NO_NUCLEAR_ZEEMAN
+    h0 = sh.zeeman_operators(params, manifold)[0]
+    h1, h2, h12 = (sh.hamiltonians(params, manifold, b) for b in (b1, b2, b1 + b2))
     scale = max(np.abs(h).max() for h in (h0, h1, h2, h12))
     eps = np.finfo(float).eps
     for h in (h1, h2, h12):
@@ -608,7 +616,9 @@ _FIELD_ROWS = st.one_of(
 def test_eigensystems_rows_follow_the_conventions(rows, preset, manifold, nuclear):
     fields = np.stack(rows)
     params = default_params(preset)
-    energies, states = sh.eigensystems(params, manifold, fields, nuclear)
+    if not nuclear:
+        params = replace(params, g_n=0.0)
+    energies, states = sh.eigensystems(params, manifold, fields)
     eye = np.eye(4)
     sz, iz = sh.S_OPS[2], sh.I_OPS[2]
     for e, v in zip(energies, states):
