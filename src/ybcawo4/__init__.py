@@ -22,12 +22,12 @@ from .grouptheory import (D2D, S4, DoubletCoefficients, SelectionRuleTable,
                           fit_j_mixing, g_consistency_relation,
                           hyperfine_level_irreps, hyperfine_selection_table,
                           irrep_product, named_selection_table)
-from .dynamics import (CoherenceModel, FlipFlopParams, PumpConfig, RateBudget,
-                       SlrParams, average_dopant_distance,
-                       boltzmann_populations, coherence_budget_optical,
-                       coherence_budget_spin, flipflop_beta_integrated,
-                       flipflop_coupling, flipflop_rate, pump_simulation,
-                       slr_rate, t2_vs_temperature)
+from .dynamics import (FlipFlopParams, PumpConfig, RateBudget, SlrParams,
+                       average_dopant_distance, boltzmann_populations,
+                       coherence_budget_optical, coherence_budget_spin,
+                       flipflop_beta_integrated, flipflop_coupling,
+                       flipflop_rate, pump_simulation, slr_rate,
+                       t2_vs_temperature)
 from .fitting import (FieldSweepFitSpec, FitResult, fit_echo_decay,
                       fit_field_sweep, fit_gaussian_line, fit_slr_recovery,
                       least_squares, oscillator_strength,

@@ -37,7 +37,6 @@ _CONFIG_KEYS = {
     "excited.A_perp_GHz": ("a_excited", "perpendicular"),
     "system.g_n": ("g_n", None),
     "system.T1_optical_s": ("t1_optical_s", None),
-    "system.optical_center_THz": ("optical_center_thz", None),
     "system.fwhm_optical_MHz": ("fwhm_optical_mhz", None),
     "system.fwhm_spin_kHz": ("fwhm_spin_khz", None),
     "system.concentration_ppm": ("concentration_ppm", None),
@@ -52,7 +51,6 @@ class RunConfig:
     preset: str = "yb171-cawo4"
     out_dir: Path = Path("ybcawo4-out")
     seed: int = 0
-    overrides: dict = field(default_factory=dict)
     input_files: list = field(default_factory=list)
 
     def resolved(self) -> dict:
@@ -94,7 +92,6 @@ def parse_config(path: Path | None = None, overrides=(), preset: str = "yb171-ca
     key named.
     """
     params = default_params(preset)
-    applied = {}
     input_files = []
     if path is not None:
         path = Path(path)
@@ -111,15 +108,13 @@ def parse_config(path: Path | None = None, overrides=(), preset: str = "yb171-ca
                 params = _apply_override(params, key, raw)
             except ValidationError as err:
                 raise ValidationError(f"{path}:{line_number}: {err}") from None
-            applied[key] = raw
     for item in overrides:
         if "=" not in item:
             raise ValidationError(f"override {item!r} must be key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
         params = _apply_override(params, key, raw)
-        applied[key] = raw
     return RunConfig(params=params, preset=preset, out_dir=Path(out_dir),
-                     seed=seed, overrides=applied, input_files=input_files)
+                     seed=seed, input_files=input_files)
 
 
 def _sha256(path: Path) -> str:
@@ -184,8 +179,9 @@ def _cmd_levels(config: RunConfig, args) -> list[Path]:
             rows.append([manifold.value, index + 1, eig.energies[index]])
     out = config.out_dir / "levels.csv"
     csvio.write_rows(out, ["manifold", "level", "energy_GHz"], rows)
-    gaps = spinham.zero_field_splittings(config.params.a_ground)
-    clock = gaps["singlet-_to_singlet+"]
+    zero_field = {g.label: g.energy_ghz
+                  for g in spinham.zero_field_levels(config.params.a_ground)}
+    clock = abs(zero_field["singlet+"] - zero_field["singlet-"])
     print(f"ground clock splitting |1>g-|4>g: {clock:.6f} GHz "
           "(first-order field-insensitive pair)")
     for row in rows:
@@ -387,7 +383,7 @@ def _cmd_pump(config: RunConfig, args) -> list[Path]:
             zip(result.times_s[::stride], result.populations[::stride])]
     if result.times_s.size % stride != 1:
         rows.append([result.times_s[-1]] + list(result.populations[-1]))
-    csvio.write_rows(out, ["t_s"] + list(result.level_names), rows)
+    csvio.write_rows(out, ["t_s"] + list(dynamics.PUMP_LEVEL_NAMES), rows)
     print(f"final populations: n1g = {result.final()[0]:.5f} "
           f"(n2g+n3g = {result.final()[1] + result.final()[2]:.2e}, "
           f"n4g = {result.final()[3]:.2e})")
@@ -404,8 +400,7 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
     elif args.model == "decay":
         data = csvio.read_measurement_csv(args.data[0], "decay")
         config.input_files.append(Path(args.data[0]))
-        result = fitting.fit_echo_decay(data["tau_s"], data["intensity"],
-                                        kind=args.kind)
+        result = fitting.fit_echo_decay(data["tau_s"], data["intensity"])
     elif args.model == "recovery":
         data = csvio.read_measurement_csv(args.data[0], "recovery")
         config.input_files.append(Path(args.data[0]))
@@ -560,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("gaussian", "decay", "recovery", "sweep"))
     p.add_argument("--data", action="append", required=True,
                    help="input CSV (repeatable for sweep fits)")
-    p.add_argument("--kind", default="spin", choices=("spin", "optical"))
     p.add_argument("--axis", action="append", default=[],
                    help="sweep axis per data file (sweep model)")
     p.add_argument("--scale-init", type=float, default=160.0,

@@ -175,21 +175,20 @@ def ground_level_energies(params: SpinSystemParams) -> np.ndarray:
     return np.take(ground_group_energies(params), GROUND_LEVEL_GROUP)
 
 
-def slr_generator(params: SpinSystemParams, temperature_k: float,
-                  slr_doublet: SlrParams = SLR_DOUBLET,
-                  slr_upper: SlrParams = SLR_UPPER) -> np.ndarray:
+def slr_generator(params: SpinSystemParams, temperature_k: float) -> np.ndarray:
     """Rate matrix G for the group populations (n1, n23, n4), dn/dt = G n.
 
-    Downhill channel rates equal the measured per-level recovery rates (the
-    upper level's rate is split over its two exit channels); uphill rates
-    follow detailed balance, so the stationary state is the Boltzmann
-    distribution with the doublet's twofold degeneracy.
+    Downhill channel rates equal the measured per-level recovery rates
+    SLR_DOUBLET and SLR_UPPER (the upper level's rate is split over its two
+    exit channels); uphill rates follow detailed balance, so the stationary
+    state is the Boltzmann distribution with the doublet's twofold
+    degeneracy.
     """
     energies = ground_group_energies(params)
     pi = boltzmann_populations(energies, temperature_k,
                                degeneracies=GROUND_MULTIPLICITIES)
-    r23 = slr_rate(temperature_k, slr_doublet)
-    r4 = slr_rate(temperature_k, slr_upper)
+    r23 = slr_rate(temperature_k, SLR_DOUBLET)
+    r4 = slr_rate(temperature_k, SLR_UPPER)
     down = {(1, 0): r23, (2, 1): 0.5 * r4, (2, 0): 0.5 * r4}
     g = np.zeros((3, 3))
     for (src, dst), rate in down.items():
@@ -226,8 +225,6 @@ class PumpConfig:
     branching: BranchingTable = field(
         default_factory=lambda: MEASURED_BRANCHING["sigma"])
     temperature_k: float = 0.05
-    slr_doublet: SlrParams = SLR_DOUBLET
-    slr_upper: SlrParams = SLR_UPPER
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -266,18 +263,19 @@ def _pump_rate_matrix(config: PumpConfig, params: SpinSystemParams) -> np.ndarra
         m[gi, ei] += rate
         m[ei, ei] -= rate
     # ground-manifold spin-lattice relaxation
-    group_gen = slr_generator(params, config.temperature_k,
-                              config.slr_doublet, config.slr_upper)
+    group_gen = slr_generator(params, config.temperature_k)
     m[:4, :4] += _expand_ground_generator(group_gen)
     return m
+
+
+# Names of the eight populations of the pump state vector, in order.
+PUMP_LEVEL_NAMES = ("n1g", "n2g", "n3g", "n4g", "n1e", "n2e", "n3e", "n4e")
 
 
 @dataclass(frozen=True)
 class PumpResult:
     times_s: np.ndarray
-    populations: np.ndarray      # (n_times, 8)
-    level_names: tuple = ("n1g", "n2g", "n3g", "n4g",
-                          "n1e", "n2e", "n3e", "n4e")
+    populations: np.ndarray      # (n_times, 8), columns PUMP_LEVEL_NAMES
 
     def final(self) -> np.ndarray:
         return self.populations[-1]
@@ -447,81 +445,75 @@ def optical_flipflop_from_t2(t2_s: float, t1_s: float) -> float:
 
 # --- temperature dependence of the coherence times ----------------------
 
-@dataclass(frozen=True)
-class CoherenceModel:
-    """Knobs of the temperature model for the predicted T2(T) curves.
-
-    clock_flipflop_hz anchors the polarized clock-pair flip-flop rate (a
-    measured lower bound); repolarization_window_s sets how long spin-
-    lattice relaxation refills the doublet between pumping cycles; the
-    phonon coefficient reproduces the measured optical coherence near 4 K
-    and scales a T^9 dephasing term.
-    """
-
-    clock_flipflop_hz: float = 13.3
-    repolarization_window_s: float = 0.4
-    phonon_t9_hz_k9: float = 0.0126
-    gamma_inh_spin_khz: float = 5.0
-    gamma_h_spin_khz: float = 0.0
+# Inputs of the temperature model for the predicted T2(T) curves.
+# Polarized clock-pair flip-flop rate, Hz (a measured lower bound).
+CLOCK_FLIPFLOP_HZ = 13.3
+# How long spin-lattice relaxation refills the doublet between pumping
+# cycles, s.
+REPOLARIZATION_WINDOW_S = 0.4
+# T^9 phonon dephasing coefficient, Hz K^-9; it reproduces the measured
+# optical coherence near 4 K.
+PHONON_T9_HZ_K9 = 0.0126
 
 
-def _doublet_population(params, temperature_k, model: CoherenceModel,
-                        polarized: bool) -> float:
-    """Residual doublet occupation during a coherence measurement."""
-    energies = ground_group_energies(params)
-    eq = boltzmann_populations(energies, temperature_k,
-                               degeneracies=GROUND_MULTIPLICITIES)
+def _doublet_population(energies, temperature_k, polarized: bool) -> float:
+    """Residual doublet occupation during a coherence measurement, from the
+    ground group energies (GHz)."""
     if not polarized:
         return 0.5  # populations reshuffled evenly over the four levels
+    eq = boltzmann_populations(energies, temperature_k,
+                               degeneracies=GROUND_MULTIPLICITIES)
     refill = 1.0 - math.exp(-slr_rate(temperature_k, SLR_DOUBLET)
-                            * model.repolarization_window_s)
+                            * REPOLARIZATION_WINDOW_S)
     # cap at the infinite-temperature occupancy: the thermal weight passes
     # through a percent-level hump while the upper level is still frozen out,
     # which would otherwise break the monotone decrease of the predicted T2
     return min(float(eq[1]), 0.5) * refill
 
 
-def _doublet_flipflop_rate(params, temperature_k, population, delta_e_ghz,
-                           model: CoherenceModel) -> float:
+def _doublet_flipflop_rate(params, temperature_k, population,
+                           delta_e_ghz) -> float:
+    """Doublet-mediated flip-flop rate, s^-1, at the spin ensemble linewidth
+    params.fwhm_spin_khz and no homogeneous width."""
     beta = flipflop_coupling((1, 2), params.g_ground)
     n_eff = params.spin_density_cm3() * population
     if n_eff <= 0:
         return 0.0
-    p = FlipFlopParams((1, 2), beta, n_eff, model.gamma_inh_spin_khz,
-                       model.gamma_h_spin_khz, delta_e_ghz, temperature_k)
+    p = FlipFlopParams((1, 2), beta, n_eff, params.fwhm_spin_khz, 0.0,
+                       delta_e_ghz, temperature_k)
     return flipflop_rate(p)
 
 
 def t2_vs_temperature(params: SpinSystemParams, temperatures_k,
-                      mode: str = "spin",
-                      model: CoherenceModel = CoherenceModel(),
-                      polarized: bool = True) -> np.ndarray:
+                      mode: str = "spin", polarized: bool = True) -> np.ndarray:
     """Predicted coherence time versus temperature, s.
 
     spin mode: the clock-pair flip-flop floor plus doublet-mediated
     flip-flops weighted by the residual doublet population (squared, both
-    partners must occupy the doublet channel).  optical mode: radiative
-    decay plus the same spin channels out of the optical ground level plus
-    a T^9 phonon term.  Monotonically non-increasing in temperature.
+    partners must occupy the doublet channel); it models a polarized
+    ensemble only.  optical mode: radiative decay plus the same spin
+    channels out of the optical ground level plus a T^9 phonon term.
+    Monotonically non-increasing in temperature.
     """
     temps = np.asarray(temperatures_k, dtype=float)
     if np.any(temps <= 0) or np.any(temps > 5.0):
         raise ValidationError("temperature grid must lie in (0, 5] K")
-    e1, e23, e4 = ground_group_energies(params)
+    if mode not in ("spin", "optical"):
+        raise ValidationError("mode must be 'spin' or 'optical'")
+    if mode == "spin" and not polarized:
+        raise ValidationError("spin mode models a polarized ensemble; "
+                              "polarized=False is an optical-mode input")
+    energies = ground_group_energies(params)
+    e1, e23, e4 = energies
     out = np.empty(temps.shape)
     for k, t in enumerate(temps):
+        p23 = _doublet_population(energies, t, polarized)
+        r_4_23 = _doublet_flipflop_rate(params, t, p23, e4 - e23)
         if mode == "spin":
-            p23 = _doublet_population(params, t, model, polarized=True)
-            r_1_23 = _doublet_flipflop_rate(params, t, p23, e23 - e1, model)
-            r_4_23 = _doublet_flipflop_rate(params, t, p23, e4 - e23, model)
-            pi_gamma = 0.5 * (model.clock_flipflop_hz + r_1_23 + r_4_23)
-            out[k] = 1.0 / pi_gamma
-        elif mode == "optical":
-            p23 = _doublet_population(params, t, model, polarized)
-            r_4_23 = _doublet_flipflop_rate(params, t, p23, e4 - e23, model)
-            pi_gamma = (1.0 / (2.0 * params.t1_optical_s) + 0.5 * r_4_23
-                        + model.phonon_t9_hz_k9 * t**9)
-            out[k] = 1.0 / pi_gamma
+            r_1_23 = _doublet_flipflop_rate(params, t, p23, e23 - e1)
+            pi_gamma = 0.5 * (CLOCK_FLIPFLOP_HZ + r_1_23 + r_4_23)
         else:
-            raise ValidationError("mode must be 'spin' or 'optical'")
+            pi_gamma = (1.0 / (2.0 * params.t1_optical_s) + 0.5 * r_4_23
+                        + PHONON_T9_HZ_K9 * t**9)
+        out[k] = 1.0 / pi_gamma
     return out

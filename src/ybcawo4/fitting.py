@@ -60,6 +60,9 @@ def _forward_jacobian(model, params, f0):
     return jac
 
 
+# Iteration cap of least_squares.
+_MAX_ITER = 200
+
 # A parameter is unidentifiable when more than this share of its unit
 # vector's squared length lies in the numerical null space of J.
 _NULL_SHARE = 1e-6
@@ -92,8 +95,7 @@ def _svd_uncertainties(jac, sigma_sq):
 
 
 def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
-                  max_iter: int = 200, jacobian=None,
-                  names: tuple | None = None) -> FitResult:
+                  jacobian=None, names: tuple | None = None) -> FitResult:
     """Levenberg-style damped least squares.
 
     model(params) returns the prediction compared against `data`; the
@@ -120,6 +122,12 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
             raise ValidationError("model returned non-finite values")
         return prediction - data
 
+    def jacobian_at(p, residual):
+        """The exact Jacobian if given, else forward differences."""
+        if jacobian is not None:
+            return np.asarray(jacobian(p), dtype=float)
+        return _forward_jacobian(lambda q: evaluate(q) + data, p, residual + data)
+
     residual = evaluate(params)
     cost = float(residual @ residual)
     history = [cost]
@@ -127,10 +135,8 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     converged = False
     iterations = 0
     singular = False
-    for iterations in range(1, max_iter + 1):
-        jac = (np.asarray(jacobian(params), dtype=float) if jacobian is not None
-               else _forward_jacobian(lambda q: evaluate(q) + data, params,
-                                      residual + data))
+    for iterations in range(1, _MAX_ITER + 1):
+        jac = jacobian_at(params, residual)
         gradient = jac.T @ residual
         if np.max(np.abs(gradient)) < tol * max(1.0, math.sqrt(cost)):
             converged = True
@@ -167,9 +173,7 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
         if singular or not stepped or converged:
             break
 
-    jac = (np.asarray(jacobian(params), dtype=float) if jacobian is not None
-           else _forward_jacobian(lambda q: evaluate(q) + data, params,
-                                  residual + data))
+    jac = jacobian_at(params, residual)
     dof = max(data.size - params.size, 1)
     try:
         uncertainties, null = _svd_uncertainties(jac, cost / dof)
@@ -244,10 +248,8 @@ def echo_decay_jacobian(tau, e0, t2):
     return np.column_stack([core, e0 * core * 2.0 * tau / t2**2])
 
 
-def fit_echo_decay(tau_s, intensity, kind: str = "spin") -> FitResult:
+def fit_echo_decay(tau_s, intensity) -> FitResult:
     """Two-parameter fit of E(tau) = E0 exp(-2 tau / T2)."""
-    if kind not in ("spin", "optical"):
-        raise ValidationError("kind must be 'spin' or 'optical'")
     tau = np.asarray(tau_s, dtype=float)
     y = np.asarray(intensity, dtype=float)
     if tau.size < 4:
@@ -262,6 +264,7 @@ def fit_echo_decay(tau_s, intensity, kind: str = "spin") -> FitResult:
     if slope >= 0:  # non-decaying data: flag and bail out with the raw guess
         result = least_squares(lambda p: echo_decay_profile(tau, *p), y,
                                [max(y.max(), 1e-12), tau.max() * 10 + 1.0],
+                               jacobian=lambda p: echo_decay_jacobian(tau, *p),
                                names=("e0", "t2"))
         result.converged = False
         result.flags = result.flags + ("non-decaying data",)

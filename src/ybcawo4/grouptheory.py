@@ -28,6 +28,12 @@ PI, SIGMA, ALPHA = "pi", "sigma", "alpha"
 POLARIZATIONS = (ALPHA, SIGMA, PI)
 
 
+def _label(label: str) -> str:
+    """An irrep label in its ASCII form: surrounding blanks stripped and the
+    Greek Gamma written as G."""
+    return label.strip().replace("Γ", "G")
+
+
 @dataclass(frozen=True)
 class PointGroup:
     name: str
@@ -44,7 +50,7 @@ class PointGroup:
     hyperfine_doublet: str                # two-fold hyperfine level label
 
     def components(self, label: str) -> tuple[str, ...]:
-        label = label.strip().replace("Γ", "G")
+        label = _label(label)
         if label in self.aliases:
             return self.aliases[label]
         if label in self.irreps:
@@ -154,7 +160,7 @@ class HyperfineIrreps:
 
 def hyperfine_level_irreps(group: PointGroup, electronic_family: str) -> HyperfineIrreps:
     """Electronic spinor family x nuclear spinor, split into level irreps."""
-    family = electronic_family.strip().replace("Γ", "G")
+    family = _label(electronic_family)
     if family not in group.spinor_families:
         raise ValidationError(
             f"{family!r} is not a spinor family of {group.name}; "
@@ -233,7 +239,7 @@ def _validate_assignment(group, assignment, level_groups):
     doublet_slot = next(name for name in level_groups if len(name) == 2)
     got = {}
     for k, v in assignment.items():
-        label = v.strip().replace("Γ", "G")
+        label = _label(v)
         group.components(label)  # raises on unknown labels
         got[k] = label
     if set(got) != set(level_groups):
@@ -334,6 +340,20 @@ G_72 = lande_g(3.5)   # 8/7
 _FAMILY_CANON = {"G56": "G56", "G78": "G78", "G6": "G56", "G7": "G78"}
 
 
+def _doublet_family(family: str) -> str:
+    """The canonical S4 name ("G56" or "G78") of a doublet family label;
+    the D2d names "G6"/"G7" and any _label spelling are accepted."""
+    canon = _FAMILY_CANON.get(_label(family))
+    if canon is None:
+        raise ValidationError(f"unknown doublet family {family!r}")
+    return canon
+
+
+def _check_j(j: float) -> None:
+    if j not in (2.5, 3.5):
+        raise ValidationError(f"j must be 2.5 or 3.5, got {j!r}")
+
+
 @dataclass(frozen=True)
 class DoubletCoefficients:
     """Wavefunction amplitudes of a Kramers doublet.
@@ -342,6 +362,7 @@ class DoubletCoefficients:
     the other J manifold (J-mixing).  `order` states whether the first
     member of the irrep pair lies above ("upper") or below ("lower") its
     conjugate in energy, which fixes the sign convention of g_parallel.
+    `family` is stored in its canonical S4 form ("G56" or "G78").
     """
 
     a: float
@@ -356,10 +377,8 @@ class DoubletCoefficients:
         norm = self.a**2 + self.b**2 + self.c**2 + self.d**2
         if abs(norm - 1.0) > 1e-9:
             raise ValidationError(f"coefficients must be normalized, |.|^2 = {norm}")
-        if self.j not in (2.5, 3.5):
-            raise ValidationError("j must be 2.5 or 3.5")
-        if _FAMILY_CANON.get(self.family) is None:
-            raise ValidationError(f"unknown doublet family {self.family!r}")
+        _check_j(self.j)
+        object.__setattr__(self, "family", _doublet_family(self.family))
         if self.order not in ("upper", "lower"):
             raise ValidationError("order must be 'upper' or 'lower'")
 
@@ -396,17 +415,16 @@ def doublet_g_factors(coeffs: DoubletCoefficients) -> tuple[float, float]:
     follows `order`.
     """
     sign = 1.0 if coeffs.order == "upper" else -1.0
-    family = _FAMILY_CANON[coeffs.family]
     a, b = coeffs.a, coeffs.b
     if coeffs.j == 2.5:
-        if family == "G78":
+        if coeffs.family == "G78":
             # pure |5/2, -+1/2> doublet: no free amplitudes
             return sign * G_52, 3.0 * G_52
         g_par, g_perp = _g_mixed_52(a, b, coeffs.c, coeffs.d)
         return sign * g_par, g_perp
     if coeffs.c or coeffs.d:
         raise ValidationError("J mixing is only implemented for the 5/2 doublet")
-    if family == "G56":
+    if coeffs.family == "G56":
         return sign * G_72 * (5 * a * a - 3 * b * b), abs(4 * math.sqrt(3) * G_72 * a * b)
     return sign * G_72 * (7 * a * a - b * b), 4 * G_72 * b * b
 
@@ -418,10 +436,8 @@ def g_consistency_relation(j: float, family: str, order: str, g_parallel: float)
     positive g_parallel expression.  Quadratic branches raise DomainError
     when the discriminant goes negative.
     """
-    canon = _FAMILY_CANON.get(family.strip().replace("Γ", "G"))
-    if canon is None:
-        raise ValidationError(f"unknown doublet family {family!r}")
-    family = canon
+    _check_j(j)
+    family = _doublet_family(family)
     if order not in ("upper", "lower"):
         raise ValidationError("order must be 'upper' or 'lower'")
     s = 1.0 if order == "upper" else -1.0
@@ -432,14 +448,12 @@ def g_consistency_relation(j: float, family: str, order: str, g_parallel: float)
                 raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
             return math.sqrt(rhs) / 2.0
         return abs(s * g_parallel - 7 * G_72) / 2.0
-    if j == 2.5:
-        if family == "G56":
-            rhs = -5 * g_parallel**2 + s * 10 * G_52 * g_parallel + 75 * G_52**2
-            if rhs < 0:
-                raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
-            return math.sqrt(rhs) / 4.0
-        return 3.0 * G_52
-    raise ValidationError("j must be 2.5 or 3.5")
+    if family == "G56":
+        rhs = -5 * g_parallel**2 + s * 10 * G_52 * g_parallel + 75 * G_52**2
+        if rhs < 0:
+            raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
+        return math.sqrt(rhs) / 4.0
+    return 3.0 * G_52
 
 
 def _nelder_mead(f, x0, scale=0.4, max_iter=4000, ftol=1e-14, xtol=1e-12):
@@ -489,7 +503,12 @@ def _angles_to_coeffs(theta):
     return a, b, c, d
 
 
-def _fit_at_fixed_mixing(t_par, t_perp, ratio, restarts, rng):
+# Random restarts of the J-mixing fit, and the g residual it must reach.
+_JMIX_RESTARTS = 10
+_JMIX_TOL = 1e-6
+
+
+def _fit_at_fixed_mixing(t_par, t_perp, ratio, rng):
     """Best (a,b,c,d) with (c^2+d^2)/(a^2+b^2) pinned to `ratio`."""
     n_ab = 1.0 / math.sqrt(1.0 + ratio)
     n_cd = math.sqrt(ratio) / math.sqrt(1.0 + ratio)
@@ -504,7 +523,7 @@ def _fit_at_fixed_mixing(t_par, t_perp, ratio, restarts, rng):
         return (g_par - t_par) ** 2 + (g_perp - t_perp) ** 2
 
     best_v, best_val = None, np.inf
-    for _ in range(max(restarts, 1) * 4):
+    for _ in range(_JMIX_RESTARTS * 4):
         v, val = _nelder_mead(objective, rng.uniform(0, 2 * np.pi, 2))
         if val < best_val:
             best_v, best_val = v, val
@@ -512,17 +531,17 @@ def _fit_at_fixed_mixing(t_par, t_perp, ratio, restarts, rng):
 
 
 def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
-                 restarts: int = 10, seed: int = 0, tol: float = 1e-6,
-                 mixing_ratio: float | None = None) -> DoubletCoefficients:
+                 seed: int = 0, mixing_ratio: float | None = None
+                 ) -> DoubletCoefficients:
     """Amplitudes (a, b, c, d) reproducing the target g pair of the 5/2 doublet.
 
     Minimizes the squared residual of the J-mixing g expressions over the
-    normalized coefficient vector (three free angles) with multiple random
-    restarts.  Two g values do not pin down four amplitudes: when the targets
-    are exactly attainable the solutions form a one-parameter family along
-    which the mixing ratio varies, so among all restarts that reach the
-    residual tolerance the one with the smallest admixture is returned
-    (J mixing treated as a perturbation).  Pass `mixing_ratio` to pin
+    normalized coefficient vector (three free angles) with _JMIX_RESTARTS
+    random restarts.  Two g values do not pin down four amplitudes: when the
+    targets are exactly attainable the solutions form a one-parameter family
+    along which the mixing ratio varies, so among all restarts that reach
+    the residual tolerance _JMIX_TOL the one with the smallest admixture is
+    returned (J mixing treated as a perturbation).  Pass `mixing_ratio` to pin
     (c^2+d^2)/(a^2+b^2) instead and probe whether a solution with that much
     mixing reproduces the targets.
 
@@ -537,7 +556,7 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
         if mixing_ratio < 0:
             raise ValidationError("mixing_ratio must be non-negative")
         (a, b, c, d), best_val = _fit_at_fixed_mixing(t_par, t_perp, mixing_ratio,
-                                                      restarts, rng)
+                                                      rng)
         best = (a, b, c, d)
     else:
         def objective(theta):
@@ -550,14 +569,14 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
             starts = [np.array([math.acos(unmixed[0]), 0.0, 0.0])]
         except DomainError:
             starts = [np.array([0.8, 0.4, 0.4])]
-        starts += [rng.uniform(0, np.pi, 3) for _ in range(max(restarts - 1, 0))]
+        starts += [rng.uniform(0, np.pi, 3) for _ in range(_JMIX_RESTARTS - 1)]
         best, best_val = None, np.inf
         converged = []
         for theta0 in starts:
             theta, value = _nelder_mead(objective, theta0)
             if value < best_val:
                 best, best_val = _angles_to_coeffs(theta), value
-            if value <= tol**2:
+            if value <= _JMIX_TOL**2:
                 converged.append(_angles_to_coeffs(theta))
         if converged:
             best = min(converged, key=lambda x: x[2] ** 2 + x[3] ** 2)
@@ -571,12 +590,12 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
                     + _angles_to_coeffs(th)[2] ** 2 + _angles_to_coeffs(th)[3] ** 2,
                     theta0, scale=0.05)
             polished = _angles_to_coeffs(theta0)
-            if objective(theta0) <= tol**2:
+            if objective(theta0) <= _JMIX_TOL**2:
                 best = polished
             g_par, g_perp = _g_mixed_52(*best)
             best_val = (g_par - t_par) ** 2 + (g_perp - t_perp) ** 2
 
-    if best_val > tol**2:
+    if best_val > _JMIX_TOL**2:
         raise NumericalError(
             f"J-mixing fit did not converge: best residual {math.sqrt(best_val):.3e}")
     a, b, c, d = best
@@ -589,10 +608,14 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
 
 def fit_doublet_amplitudes(g_parallel: float, j: float = 2.5,
                            family: str = "G56") -> tuple[float, float]:
-    """(a, b) >= 0 of the unmixed doublet reproducing g_parallel exactly."""
-    g_j = G_52 if j == 2.5 else G_72
-    if _FAMILY_CANON.get(family) != "G56":
+    """(a, b) >= 0 of the unmixed doublet reproducing g_parallel exactly.
+
+    j must be 2.5 or 3.5; family may be any spelling _doublet_family takes.
+    """
+    _check_j(j)
+    if _doublet_family(family) != "G56":
         raise ValidationError("closed-form inversion implemented for the G56 family")
+    g_j = G_52 if j == 2.5 else G_72
     # g_par = g_j (5a^2 - 3b^2) = g_j (8a^2 - 3)
     a_sq = (g_parallel / g_j + 3.0) / 8.0
     if not 0.0 <= a_sq <= 1.0:

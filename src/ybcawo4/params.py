@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .constants import C_LIGHT_M_S
 from .errors import ValidationError
 
 
@@ -62,10 +61,6 @@ def a_tensor(parallel_ghz: float, perpendicular_ghz: float) -> UniaxialTensor:
     return UniaxialTensor(parallel_ghz, perpendicular_ghz, "GHz")
 
 
-def wavelength_nm_to_thz(wavelength_nm: float) -> float:
-    return C_LIGHT_M_S / wavelength_nm * 1e-3
-
-
 @dataclass(frozen=True)
 class SpinSystemParams:
     """All scalar/tensor parameters of the coupled S=1/2, I=1/2 system."""
@@ -76,7 +71,6 @@ class SpinSystemParams:
     a_excited: UniaxialTensor = field(default_factory=lambda: a_tensor(-2.87, 2.72))
     g_n: float = 0.987
     t1_optical_s: float = 0.385e-3
-    optical_center_thz: float = wavelength_nm_to_thz(973.162)
     fwhm_optical_mhz: float = 185.0
     fwhm_spin_khz: float = 5.0
     concentration_ppm: float = 4.96

@@ -116,17 +116,6 @@ class Spectrum:
         return float(np.trapezoid(self.absorption, self.detuning_ghz))
 
 
-def calibrate_to_integrated_absorption(spectrum: Spectrum,
-                                       alpha_integral_cm1_ghz: float) -> Spectrum:
-    """Rescale a dimensionless trace so its area matches a measured
-    integrated absorption coefficient (cm^-1 GHz); returns alpha in cm^-1."""
-    area = spectrum.area()
-    if area <= 0:
-        raise ValidationError("cannot calibrate an empty spectrum")
-    return Spectrum(spectrum.detuning_ghz,
-                    spectrum.absorption * (alpha_integral_cm1_ghz / area))
-
-
 @dataclass(frozen=True)
 class SweepMap:
     """One spectrum per field value, all sharing a single detuning grid."""
@@ -139,9 +128,6 @@ class SweepMap:
     def __post_init__(self):
         if self.absorption.shape != (self.field_values_mt.size, self.detuning_ghz.size):
             raise ValidationError("absorption block does not match the grid")
-
-    def spectrum(self, index: int) -> Spectrum:
-        return Spectrum(self.detuning_ghz, self.absorption[index])
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:

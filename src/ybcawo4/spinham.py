@@ -133,7 +133,6 @@ class EigenSystem:
 
     energies: np.ndarray        # (4,)
     states: np.ndarray          # (4, 4); states[:, k] belongs to energies[k]
-    field_mt: np.ndarray        # (3,)
 
     def state(self, index: int) -> np.ndarray:
         """Eigenvector for the 1-based level index."""
@@ -204,7 +203,7 @@ def _eigh_stack(h: np.ndarray):
     return energies, _fix_phases(vectors)
 
 
-def diagonalize(h: np.ndarray, field_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
+def diagonalize(h: np.ndarray) -> EigenSystem:
     """Exact eigensystem with the deterministic ordering/phase conventions."""
     h = np.asarray(h, dtype=complex)
     if h.shape != (4, 4):
@@ -213,8 +212,7 @@ def diagonalize(h: np.ndarray, field_mt=(0.0, 0.0, 0.0)) -> EigenSystem:
     if np.linalg.norm(h - h.conj().T) > 1e-9 * scale:
         raise ValidationError("matrix is not Hermitian within 1e-9 relative")
     energies, states = _eigh_stack(h[None])
-    return EigenSystem(energies=energies[0], states=states[0],
-                       field_mt=np.asarray(field_mt, dtype=float))
+    return EigenSystem(energies=energies[0], states=states[0])
 
 
 def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt):
@@ -232,7 +230,7 @@ def eigensystem(params: SpinSystemParams, manifold: Manifold,
     if b.shape != (3,):
         raise ValidationError("magnetic field must be a 3-vector")
     energies, states = eigensystems(params, manifold, b[None, :])
-    return EigenSystem(energies=energies[0], states=states[0], field_mt=b)
+    return EigenSystem(energies=energies[0], states=states[0])
 
 
 def manifold_energies(params: SpinSystemParams, manifold: Manifold,

@@ -190,9 +190,17 @@ class TestSubcommands:
                        "--data", data)
         assert code == 2
 
+    def test_levels_with_negative_ground_a_perp(self, tmp_path, capsys):
+        # singlet+ then lies below singlet-; the clock splitting is |gap|
+        assert run_cli("--out", tmp_path, "--set", "ground.A_perp_GHz=-3.08187",
+                       "levels") == 0
+        assert capsys.readouterr().out.startswith(
+            "ground clock splitting |1>g-|4>g: 3.081870 GHz")
+
 
 class TestOneInputPerQuantity:
-    """The optical linewidth and T1 come from the parameters alone."""
+    """The optical linewidth and T1 come from the parameters alone, and
+    removed inputs are rejected by name."""
 
     def test_spectrum_drawn_at_the_set_linewidth(self, tmp_path, capsys):
         out = tmp_path / "wide"
@@ -215,12 +223,48 @@ class TestOneInputPerQuantity:
         assert payload["t2_s"] == pytest.approx(2e-3, rel=1e-12)
 
     @pytest.mark.parametrize("argv", [["spectrum", "--fwhm-mhz", "400"],
-                                      ["budget", "--t1", "1e-3"]])
+                                      ["budget", "--t1", "1e-3"],
+                                      ["fit", "--model", "decay", "--data",
+                                       "decay.csv", "--kind", "spin"]])
     def test_removed_options_exit_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("--out", tmp_path / "x", *argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_key_is_unknown(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "--set",
+                       "system.optical_center_THz=308", "levels") == 1
+        assert "unknown configuration key" in capsys.readouterr().err
+
+
+# One command per output that a configuration key can reach.
+_KEY_PROBES = (["levels", "--field", "10,20,30"], ["spectrum"], ["dynamics"],
+               ["budget", "--mode", "optical"])
+
+
+def _probe_csvs(out_root, settings) -> dict:
+    """CSV bytes written by every probe command under the --set settings."""
+    found = {}
+    for k, argv in enumerate(_KEY_PROBES):
+        out = out_root / str(k)
+        assert run_cli("--out", out, *settings, *argv) == 0
+        found.update({(k, p.name): p.read_bytes() for p in out.glob("*.csv")})
+    return found
+
+
+@pytest.fixture(scope="module")
+def default_probe_csvs(tmp_path_factory):
+    return _probe_csvs(tmp_path_factory.mktemp("defaults"), ())
+
+
+@pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+def test_every_configuration_key_moves_an_output(key, tmp_path,
+                                                 default_probe_csvs):
+    section, name = key.split(".")
+    value = cli.RunConfig(default_params()).resolved()[section][name]
+    raw = str(value + 1) if isinstance(value, int) else repr(value * 1.01)
+    assert _probe_csvs(tmp_path, ("--set", f"{key}={raw}")) != default_probe_csvs
 
 
 class TestLevelLayoutCheck:

@@ -267,8 +267,7 @@ def _reference_pump_rate_matrix(config, params):
         m[gi, gi] -= rate
         m[gi, ei] += rate
         m[ei, ei] -= rate
-    group_gen = dyn.slr_generator(params, config.temperature_k,
-                                  config.slr_doublet, config.slr_upper)
+    group_gen = dyn.slr_generator(params, config.temperature_k)
     m[:4, :4] += _reference_expand_ground_generator(group_gen)
     return m
 
@@ -437,3 +436,17 @@ class TestTemperatureCurves:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             dyn.t2_vs_temperature(PARAMS, np.array([0.5, 6.0]), "spin")
+
+    def test_spin_mode_rejects_unpolarized(self):
+        with pytest.raises(ValidationError, match="polarized=False"):
+            dyn.t2_vs_temperature(PARAMS, [1.0], "spin", polarized=False)
+
+    def test_flipflop_linewidth_is_the_spin_linewidth(self):
+        # Gamma_inh of the doublet flip-flops is params.fwhm_spin_khz: a
+        # 100x wider line slows them 100x
+        narrow = dyn.t2_vs_temperature(PARAMS, [4.0])[0]
+        wide = dyn.t2_vs_temperature(replace(PARAMS, fwhm_spin_khz=500.0),
+                                     [4.0])[0]
+        floor = dyn.CLOCK_FLIPFLOP_HZ
+        assert (2.0 / narrow - floor) == pytest.approx(
+            100.0 * (2.0 / wide - floor), rel=1e-9)

@@ -354,6 +354,51 @@ class TestConsistencyRelation:
             gt.g_consistency_relation(2.5, "G56", "upper", 10.0)
 
 
+class TestLabelSpellings:
+    """Every label-taking function reads " G6 ", "Γ6" and "G6" alike."""
+
+    SPELLINGS = ("G56", " G56 ", "Γ56", "G6", " Γ6")
+
+    def test_components(self):
+        for label in self.SPELLINGS[:3]:
+            assert gt.S4.components(label) == ("G5", "G6")
+
+    def test_hyperfine_level_irreps(self):
+        reference = gt.hyperfine_level_irreps(gt.D2D, "G6")
+        for label in (" G6 ", "Γ6", "\tΓ6\n"):
+            assert gt.hyperfine_level_irreps(gt.D2D, label) == reference
+
+    def test_doublet_coefficients_store_the_canonical_family(self):
+        for family in self.SPELLINGS:
+            coeffs = gt.DoubletCoefficients(1.0, 0.0, j=3.5, family=family)
+            assert coeffs.family == "G56"
+        assert gt.DoubletCoefficients(1.0, 0.0, j=2.5, family=" Γ7").family == "G78"
+
+    def test_consistency_relation(self):
+        for family in self.SPELLINGS:
+            assert gt.g_consistency_relation(2.5, family, "upper", -1.44) == \
+                gt.g_consistency_relation(2.5, "G56", "upper", -1.44)
+
+    def test_fit_doublet_amplitudes(self):
+        for family in self.SPELLINGS:
+            assert gt.fit_doublet_amplitudes(-1.446, family=family) == \
+                gt.fit_doublet_amplitudes(-1.446)
+
+    def test_unknown_family_rejected_by_name(self):
+        for call in (lambda: gt.DoubletCoefficients(1.0, 0.0, family="G9"),
+                     lambda: gt.g_consistency_relation(2.5, "G9", "upper", 1.0),
+                     lambda: gt.fit_doublet_amplitudes(1.0, family="G9")):
+            with pytest.raises(ValidationError, match="unknown doublet family 'G9'"):
+                call()
+
+    def test_j_outside_the_two_doublets_rejected(self):
+        for call in (lambda: gt.fit_doublet_amplitudes(-1.446, j=3.0),
+                     lambda: gt.g_consistency_relation(3.0, "G56", "upper", 1.0),
+                     lambda: gt.DoubletCoefficients(1.0, 0.0, j=3.0)):
+            with pytest.raises(ValidationError, match="j must be 2.5 or 3.5"):
+                call()
+
+
 class TestJMixingFit:
     def test_targets_reproduced_exactly(self):
         coeffs = gt.fit_j_mixing(-1.446, 1.293)

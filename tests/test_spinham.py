@@ -377,7 +377,7 @@ def test_eigensystems_equal_per_row_diagonalize():
             assert energies.shape == (fields.shape[0], 4)
             assert states.shape == (fields.shape[0], 4, 4)
             for row, b in enumerate(fields):
-                ref = sh.diagonalize(sh.build_hamiltonian(params, manifold, b), b)
+                ref = sh.diagonalize(sh.build_hamiltonian(params, manifold, b))
                 assert np.array_equal(energies[row], ref.energies)
                 assert np.array_equal(states[row], ref.states)
 
