@@ -9,11 +9,10 @@ from .constants import CONSTANTS, PhysicalConstants
 from .errors import DomainError, NumericalError, ValidationError
 from .params import (Manifold, SpinSystemParams, UniaxialTensor, a_tensor,
                      default_params, g_tensor)
-from .spinham import (EigenSystem, build_hamiltonian, diagonalize, eigensystem,
-                      eigensystems, find_clock_transitions, first_order_sensitivity,
-                      high_field_states, spin_half_operators,
-                      transition_magnetic_dipole, zero_field_levels,
-                      zero_field_states)
+from .spinham import (EigenSystem, eigensystem, eigensystems,
+                      find_clock_transitions, first_order_sensitivity,
+                      spin_half_operators, transition_magnetic_dipole,
+                      zero_field_levels)
 from .spectra import (BranchingTable, Spectrum, SweepMap, TransitionLine,
                       angular_rosette, epr_resonance_fields, field_sweep_map,
                       synthesize_spectrum, transition_catalog)
@@ -30,5 +29,4 @@ from .dynamics import (FlipFlopParams, PumpConfig, RateBudget, SlrParams,
                        t2_vs_temperature)
 from .fitting import (FieldSweepFitSpec, FitResult, fit_echo_decay,
                       fit_field_sweep, fit_gaussian_line, fit_slr_recovery,
-                      least_squares, oscillator_strength,
-                      spontaneous_rate_and_beta)
+                      least_squares)

@@ -168,6 +168,11 @@ def _field_from_arg(raw: str) -> np.ndarray:
     return np.asarray(_number_list(raw, "--field", "bx,by,bz in mT", (float,) * 3))
 
 
+def _check_count(option: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValidationError(f"{option} must be at least {minimum}")
+
+
 # --- subcommand implementations -------------------------------------------
 
 def _cmd_levels(config: RunConfig, args) -> list[Path]:
@@ -221,6 +226,7 @@ def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_sweep(config: RunConfig, args) -> list[Path]:
+    _check_count("--steps", args.steps, 2)
     fields = np.linspace(args.b_start, args.b_stop, args.steps)
     weights = None if args.pol == "uniform" else args.pol
     sweep = spectra.field_sweep_map(config.params, _axis_from_arg(args.axis),
@@ -259,8 +265,7 @@ def _cmd_rosette(config: RunConfig, args) -> list[Path]:
                           ("--angle-stop", args.angle_stop)):
         if not np.isfinite(value):
             raise ValidationError(f"{option} must be finite")
-    if args.angle_steps < 2:
-        raise ValidationError("--angle-steps must be at least 2")
+    _check_count("--angle-steps", args.angle_steps, 2)
     angles = np.linspace(args.angle_start, args.angle_stop, args.angle_steps)
     rosette = spectra.angular_rosette(config.params, args.plane, angles,
                                       args.freq_ghz,
@@ -322,6 +327,7 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
+    _check_count("--steps", args.steps, 1)
     temperatures = np.linspace(args.t_min, args.t_max, args.steps)
     t2 = dynamics.t2_vs_temperature(config.params, temperatures, args.mode)
     out = config.out_dir / "t2_curve.csv"
@@ -331,8 +337,8 @@ def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
         rates, ["temperature_K", "slr_doublet_hz", "slr_upper_hz"],
         [[t, dynamics.slr_rate(t, dynamics.SLR_DOUBLET),
           dynamics.slr_rate(t, dynamics.SLR_UPPER)] for t in temperatures])
-    print(f"T2({args.t_min:.2f} K) = {t2[0]:.4g} s ... "
-          f"T2({args.t_max:.2f} K) = {t2[-1]:.4g} s [{args.mode}]")
+    print(f"T2({temperatures[0]:.2f} K) = {t2[0]:.4g} s ... "
+          f"T2({temperatures[-1]:.2f} K) = {t2[-1]:.4g} s [{args.mode}]")
     return [out, rates]
 
 
@@ -374,6 +380,7 @@ def _cmd_budget(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_pump(config: RunConfig, args) -> list[Path]:
+    _check_count("--max-rows", args.max_rows, 1)
     pump_config = dynamics.PumpConfig(duration_s=args.duration,
                                       temperature_k=args.temperature)
     result = dynamics.pump_simulation(pump_config, config.params)

@@ -28,12 +28,8 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
-# SI values used by the photometric formulas and the dipolar coupling.
+# SI values of the dipolar coupling.
 H_PLANCK_J_S = 6.62607015e-34
-E_CHARGE_C = 1.602176634e-19
-M_ELECTRON_KG = 9.1093837015e-31
-C_LIGHT_M_S = 2.99792458e8
-EPSILON0_F_M = 8.8541878128e-12
 MU0_OVER_4PI_T2M3_J = 1e-7
 
 # Bohr magneton in J/T, derived from the pinned mu_B/h so the two never drift.

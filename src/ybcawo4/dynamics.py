@@ -104,7 +104,7 @@ class FlipFlopParams:
             raise ValidationError("coupling and density must be non-negative")
         if self.gamma_inh_khz < 0 or self.gamma_h_khz < 0:
             raise ValidationError("linewidths must be non-negative")
-        if self.temperature_k <= 0:
+        if not self.temperature_k > 0:
             raise ValidationError("temperature must be positive")
 
 
@@ -136,7 +136,7 @@ SLR_UPPER = SlrParams(0.2e-4, 9e-4, 0.25e-4)
 
 
 def slr_rate(temperature_k: float, p: SlrParams) -> float:
-    if temperature_k <= 0:
+    if not temperature_k > 0:
         raise ValidationError("temperature must be positive")
     t = temperature_k
     return p.r0_hz + p.a1_hz_k2 * t**2 + p.a2_hz_k9 * t**9
@@ -152,7 +152,7 @@ def slr_crossover_temperature(p: SlrParams) -> float:
 def boltzmann_populations(energies_ghz, temperature_k: float,
                           degeneracies=None) -> np.ndarray:
     """Normalized thermal weights g_i exp(-E_i h / kB T)."""
-    if temperature_k <= 0:
+    if not temperature_k > 0:
         raise ValidationError("temperature must be positive")
     e = np.asarray(energies_ghz, dtype=float)
     g = np.ones_like(e) if degeneracies is None else np.asarray(degeneracies, float)
@@ -227,7 +227,7 @@ class PumpConfig:
     temperature_k: float = 0.05
 
     def __post_init__(self):
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValidationError("duration must be positive")
         for (g_level, e_level), rate in self.transitions:
             if not (1 <= g_level <= 4 and 1 <= e_level <= 4):
@@ -496,7 +496,7 @@ def t2_vs_temperature(params: SpinSystemParams, temperatures_k,
     Monotonically non-increasing in temperature.
     """
     temps = np.asarray(temperatures_k, dtype=float)
-    if np.any(temps <= 0) or np.any(temps > 5.0):
+    if not np.all((temps > 0) & (temps <= 5.0)):
         raise ValidationError("temperature grid must lie in (0, 5] K")
     if mode not in ("spin", "optical"):
         raise ValidationError("mode must be 'spin' or 'optical'")
@@ -506,7 +506,7 @@ def t2_vs_temperature(params: SpinSystemParams, temperatures_k,
     energies = ground_group_energies(params)
     e1, e23, e4 = energies
     out = np.empty(temps.shape)
-    for k, t in enumerate(temps):
+    for k, t in np.ndenumerate(temps):
         p23 = _doublet_population(energies, t, polarized)
         r_4_23 = _doublet_flipflop_rate(params, t, p23, e4 - e23)
         if mode == "spin":

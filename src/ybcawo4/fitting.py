@@ -1,6 +1,6 @@
 """Damped least-squares engine and the concrete fit models: Gaussian lines,
 exponential echo decays, spin-lattice recovery with a shared equilibrium
-temperature, field-sweep g-tensor extraction, and photometric estimates.
+temperature, and field-sweep g-tensor extraction.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectra, spinham
-from .constants import (C_LIGHT_M_S, CONSTANTS, E_CHARGE_C, EPSILON0_F_M,
-                        M_ELECTRON_KG)
-from .errors import DomainError, ValidationError
+from .constants import CONSTANTS
+from .errors import ValidationError
 from .params import (FIELD_SWEEP_SCALE_G_PER_A, GROUND_GROUPS,
                      GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
                      default_params, g_tensor)
@@ -569,47 +568,3 @@ def fit_field_sweep(sweeps, spec: FieldSweepFitSpec,
         jacobian=lambda p: _sweep_model(sweeps, params, spec, p, jacobian=True),
         names=tuple(names), tol=1e-12)
 
-
-# --- photometric quantities ------------------------------------------------
-
-def lorentz_local_field_factor(refractive_index: float) -> float:
-    return (refractive_index**2 + 2.0) ** 2 / 9.0
-
-
-def oscillator_strength(integrated_absorption_cm1_ghz, density_cm3: float,
-                        refractive_index: float) -> float:
-    """Oscillator strength from polarization-resolved integrated absorption.
-
-    integrated_absorption values are integral(alpha d nu) in cm^-1 GHz, one
-    per orthogonal polarization; missing entries may be filled by
-    duplicating a measured one before calling.  Uses the classical
-    absorption relation with the Lorentz local-field correction:
-    f = (4 eps0 m_e c / e^2) (1/3N) sum_i chi_L^-1 integral(alpha_i d nu).
-    """
-    if density_cm3 <= 0:
-        raise DomainError("ion density must be positive")
-    values = np.asarray(integrated_absorption_cm1_ghz, dtype=float)
-    if values.size != 3:
-        raise ValidationError("need integrated absorption for 3 polarizations")
-    chi = lorentz_local_field_factor(refractive_index)
-    integral_si = values * 100.0 * 1e9      # cm^-1 GHz -> m^-1 Hz
-    prefactor = 4.0 * EPSILON0_F_M * M_ELECTRON_KG * C_LIGHT_M_S / E_CHARGE_C**2
-    density_m3 = density_cm3 * 1e6
-    return float(prefactor / (3.0 * density_m3) * np.sum(integral_si / chi))
-
-
-def spontaneous_rate_and_beta(f: float, wavelength_nm: float,
-                              refractive_index: float,
-                              t1_s: float) -> tuple[float, float]:
-    """Two-level spontaneous emission rate and the implied branching ratio.
-
-    Gamma_s = 2 pi e^2 nu^2 / (eps0 m_e c^3) n^2 chi_L f;  beta = Gamma_s T1.
-    """
-    if min(f, wavelength_nm, refractive_index, t1_s) <= 0:
-        raise ValidationError("all inputs must be positive")
-    nu = C_LIGHT_M_S / (wavelength_nm * 1e-9)
-    chi = lorentz_local_field_factor(refractive_index)
-    gamma = (2.0 * math.pi * E_CHARGE_C**2 * nu**2
-             / (EPSILON0_F_M * M_ELECTRON_KG * C_LIGHT_M_S**3)
-             * refractive_index**2 * chi * f)
-    return gamma, gamma * t1_s

@@ -30,8 +30,6 @@ from .params import (EXCITED_GROUPS, EXCITED_MULTIPLICITIES, GROUND_GROUPS,
                      GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
                      UniaxialTensor)
 
-BASIS_LABELS = ("up-Up", "up-Dn", "dn-Up", "dn-Dn")
-
 _DEGENERACY_TOL_GHZ = 1e-7
 # <Sz> values of a degenerate block closer than this count as equal, so Iz
 # orders those states
@@ -55,14 +53,6 @@ _EYE2 = np.eye(2, dtype=complex)
 # Electron (S) and nuclear (I) vector operators on the 4-dim product space.
 S_OPS = tuple(_read_only(np.kron(o, _EYE2)) for o in spin_half_operators())
 I_OPS = tuple(_read_only(np.kron(_EYE2, o)) for o in spin_half_operators())
-
-
-def product_operators():
-    """Electron (S) and nuclear (I) vector operators on the 4-dim product space.
-
-    Both are the read-only module constants S_OPS and I_OPS.
-    """
-    return S_OPS, I_OPS
 
 
 _S_STACK = _read_only(np.stack(S_OPS))
@@ -108,15 +98,6 @@ def hamiltonians(params: SpinSystemParams, manifold: Manifold,
     """
     return _kernels.hamiltonians(
         *zeeman_operators(params, manifold), _fields_t(fields_mt))
-
-
-def build_hamiltonian(params: SpinSystemParams, manifold: Manifold,
-                      b_mt) -> np.ndarray:
-    """4x4 Hermitian matrix in GHz for the given manifold and field (mT)."""
-    b = np.asarray(b_mt, dtype=float)
-    if b.shape != (3,):
-        raise ValidationError("magnetic field must be a 3-vector")
-    return hamiltonians(params, manifold, b[None, :])[0]
 
 
 def field_derivative_operator(params: SpinSystemParams, manifold: Manifold,
@@ -203,18 +184,6 @@ def _eigh_stack(h: np.ndarray):
     return energies, _fix_phases(vectors)
 
 
-def diagonalize(h: np.ndarray) -> EigenSystem:
-    """Exact eigensystem with the deterministic ordering/phase conventions."""
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (4, 4):
-        raise ValidationError("expected a 4x4 matrix")
-    scale = max(np.linalg.norm(h), 1.0)
-    if np.linalg.norm(h - h.conj().T) > 1e-9 * scale:
-        raise ValidationError("matrix is not Hermitian within 1e-9 relative")
-    energies, states = _eigh_stack(h[None])
-    return EigenSystem(energies=energies[0], states=states[0])
-
-
 def eigensystems(params: SpinSystemParams, manifold: Manifold, fields_mt):
     """Energies (n, 4) and eigenvector columns (n, 4, 4) over a field stack (mT).
 
@@ -287,70 +256,6 @@ def checked_zero_field_levels(params: SpinSystemParams,
             f"multiplicities {found} in ascending energy, but the level "
             f"layout {groups} needs {expected}")
     return levels
-
-
-def zero_field_splittings(a: UniaxialTensor) -> dict[str, float]:
-    """Gaps between the three zero-field level groups, lowest group as origin."""
-    groups = zero_field_levels(a)
-    return {
-        f"{groups[0].label}_to_{groups[1].label}": groups[1].energy_ghz - groups[0].energy_ghz,
-        f"{groups[0].label}_to_{groups[2].label}": groups[2].energy_ghz - groups[0].energy_ghz,
-    }
-
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-# Zero-field eigenvectors in the product basis, keyed by the conventional
-# level numbering of each manifold (states ordered lowest to highest energy
-# for the tabulated parameter signs).
-_GROUND_ZF = (
-    ("(up-Dn - dn-Up)/sqrt2", np.array([0, _SQ2, -_SQ2, 0], dtype=complex)),
-    ("up-Up", np.array([1, 0, 0, 0], dtype=complex)),
-    ("dn-Dn", np.array([0, 0, 0, 1], dtype=complex)),
-    ("(up-Dn + dn-Up)/sqrt2", np.array([0, _SQ2, _SQ2, 0], dtype=complex)),
-)
-_EXCITED_ZF = (
-    ("up-Up", np.array([1, 0, 0, 0], dtype=complex)),
-    ("dn-Dn", np.array([0, 0, 0, 1], dtype=complex)),
-    ("(up-Dn + dn-Up)/sqrt2", np.array([0, _SQ2, _SQ2, 0], dtype=complex)),
-    ("(up-Dn - dn-Up)/sqrt2", np.array([0, _SQ2, -_SQ2, 0], dtype=complex)),
-)
-
-
-def zero_field_states(manifold: Manifold) -> list[tuple[str, np.ndarray]]:
-    """Labeled zero-field eigenstates |1>..|4> of the manifold.
-
-    Note the conventional labels fix which of the two entangled combinations
-    is called |3> vs |4> in the excited manifold; with a perpendicular
-    hyperfine component of the opposite sign the two swap (all observables
-    are invariant under that sign flip).
-    """
-    table = _GROUND_ZF if manifold is Manifold.GROUND else _EXCITED_ZF
-    return [(label, vec.copy()) for label, vec in table]
-
-
-_PRODUCT_STATES = tuple(np.eye(4, dtype=complex))
-
-
-def high_field_states(manifold: Manifold, b_parallel_mt: float,
-                      params: SpinSystemParams):
-    """Product-state assignment in the strong-field limit along c.
-
-    Returns [(basis label, basis vector), ...] for levels |1>..|4| ordered by
-    the diagonal energy of each product state at the given field.  Warns when
-    the electron Zeeman energy does not dominate the hyperfine coupling.
-    """
-    a = params.a(manifold)
-    ze_par = params.g(manifold).parallel * CONSTANTS.mu_b_ghz_per_t
-    b_t = b_parallel_mt * 1e-3
-    if abs(ze_par * b_t) < 10.0 * max(abs(a.parallel), abs(a.perpendicular)):
-        import warnings
-        warnings.warn("field is not deep in the high-field regime; product-state "
-                      "labels may not match the exact eigenvectors", stacklevel=2)
-    h = build_hamiltonian(params, manifold, (0.0, 0.0, b_parallel_mt))
-    diag = np.real(np.diag(h))
-    order = np.argsort(diag, kind="stable")
-    return [(BASIS_LABELS[k], _PRODUCT_STATES[k].copy()) for k in order]
 
 
 def first_order_sensitivity(state, direction, params: SpinSystemParams,

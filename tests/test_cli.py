@@ -16,6 +16,16 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def run_process(*argv):
+    """The CLI in a fresh interpreter, bounded in time; numpy warnings, which
+    bypass capsys under pytest, then reach the captured stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "ybcawo4.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestParseConfig:
     def test_empty_config_gives_tabulated_defaults(self):
         config = cli.parse_config()
@@ -150,6 +160,11 @@ class TestSubcommands:
         assert run_cli("--out", out, "dynamics", "--steps", "6") == 0
         assert (out / "t2_curve.csv").exists()
         assert (out / "rates.csv").exists()
+
+    def test_one_step_dynamics_labels_its_one_temperature(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path / "dyn", "dynamics", "--steps", "1") == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("T2(0.05 K) = 0.1504 s ... T2(0.05 K) = 0.1504 s")
 
     def test_manifest_lists_every_output(self, tmp_path):
         out = tmp_path / "m"
@@ -359,6 +374,10 @@ class TestMalformedOptionValues:
         (["rosette", "--angle-stop", "inf"], "rosette", "--angle-stop"),
         (["rosette", "--angle-start", "nan"], "rosette", "--angle-start"),
         (["rosette", "--angle-steps", "-1"], "rosette", "--angle-steps"),
+        (["sweep", "--steps", "-1"], "sweep", "--steps"),
+        (["dynamics", "--steps", "0"], "dynamics", "--steps"),
+        (["dynamics", "--steps", "-1"], "dynamics", "--steps"),
+        (["pump", "--max-rows", "0"], "pump", "--max-rows"),
         (["gfactor", "--jmix-targets", "1.2,1.3,1.4"], "gfactor",
          "--jmix-targets"),
     ]
@@ -386,16 +405,15 @@ class TestMalformedOptionValues:
         assert err.startswith(f"error ({argv[0]}): ") and message in err
 
     def test_infinite_angle_range_prints_no_warning(self, tmp_path):
-        # numpy warnings bypass capsys under pytest, so run a real process
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "ybcawo4.cli", "--out", str(tmp_path / "bad"),
-             "rosette", "--angle-stop", "inf"],
-            capture_output=True, text=True, env=env, timeout=60)
+        done = run_process("--out", tmp_path / "bad", "rosette", "--angle-stop", "inf")
         assert done.returncode == 1
         assert done.stderr == "error (rosette): --angle-stop must be finite\n"
+
+    def test_nan_pump_temperature_exits_promptly(self, tmp_path):
+        # NaN used to pass the temperature checks and hang the integrator
+        done = run_process("--out", tmp_path / "bad", "pump", "--temperature", "nan")
+        assert done.returncode == 1
+        assert done.stderr == "error (pump): temperature must be positive\n"
 
     def test_missing_data_file_is_a_named_error(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path / "fit", "fit", "--model", "sweep",

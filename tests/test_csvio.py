@@ -1,7 +1,12 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ybcawo4 import csvio
 from ybcawo4.errors import ValidationError
@@ -18,6 +23,20 @@ def test_block_bytes_equal_row_bytes_on_special_values(tmp_path):
     csvio.write_block(tmp_path / "block.csv", header, block)
     csvio.write_rows(tmp_path / "rows.csv", header, block.tolist())
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(block=hnp.arrays(np.float64,
+                        st.tuples(st.integers(0, 12), st.integers(1, 5)),
+                        elements=st.floats(width=64)))
+def test_block_bytes_equal_row_bytes_on_any_floats(block):
+    # NaN, +-inf, -0.0 and subnormals included, and tables of zero rows
+    header = [f"c{k}" for k in range(block.shape[1])]
+    with tempfile.TemporaryDirectory() as scratch:
+        block_path, rows_path = Path(scratch) / "block.csv", Path(scratch) / "rows.csv"
+        csvio.write_block(block_path, header, block)
+        csvio.write_rows(rows_path, header, block.tolist())
+        assert block_path.read_bytes() == rows_path.read_bytes()
 
 
 def test_block_bytes_equal_row_bytes_across_chunks(tmp_path):

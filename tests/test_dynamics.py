@@ -128,6 +128,28 @@ class TestFlipFlopRate:
             dyn.flipflop_rate(p)
 
 
+class TestTemperatureChecks:
+    """Every temperature check fails NaN, not only zero and negative values."""
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan])
+    def test_non_positive_temperature_rejected(self, temperature):
+        with pytest.raises(ValidationError, match="temperature must be positive"):
+            dyn.slr_rate(temperature, dyn.SLR_DOUBLET)
+        with pytest.raises(ValidationError, match="temperature must be positive"):
+            dyn.boltzmann_populations([0.0, 1.0], temperature)
+        with pytest.raises(ValidationError, match="temperature must be positive"):
+            dyn.FlipFlopParams((1, 4), 1.0, 1.0, 1.0, 0.0, 0.0, temperature)
+        with pytest.raises(ValidationError, match="temperature must be positive"):
+            dyn.pump_simulation(dyn.PumpConfig(temperature_k=temperature), PARAMS)
+        with pytest.raises(ValidationError, match="temperature grid"):
+            dyn.t2_vs_temperature(PARAMS, [1.0, temperature])
+
+    @pytest.mark.parametrize("duration", [0.0, math.nan])
+    def test_non_positive_pump_duration_rejected(self, duration):
+        with pytest.raises(ValidationError, match="duration must be positive"):
+            dyn.PumpConfig(duration_s=duration)
+
+
 class TestSpinLatticeRelaxation:
     def test_rate_at_one_kelvin(self):
         assert dyn.slr_rate(1.0, dyn.SLR_UPPER) == pytest.approx(9.45e-4, rel=1e-12)
@@ -436,6 +458,12 @@ class TestTemperatureCurves:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             dyn.t2_vs_temperature(PARAMS, np.array([0.5, 6.0]), "spin")
+
+    def test_scalar_temperature(self):
+        for mode in ("spin", "optical"):
+            t2 = dyn.t2_vs_temperature(PARAMS, 1.0, mode)
+            assert t2.shape == ()
+            assert t2 == dyn.t2_vs_temperature(PARAMS, [1.0], mode)[0]
 
     def test_spin_mode_rejects_unpolarized(self):
         with pytest.raises(ValidationError, match="polarized=False"):

@@ -6,7 +6,7 @@ import pytest
 
 from ybcawo4 import dynamics as dyn
 from ybcawo4 import fitting as ft
-from ybcawo4.errors import DomainError, ValidationError
+from ybcawo4.errors import ValidationError
 from ybcawo4.params import Manifold, default_params, g_tensor
 
 PARAMS = default_params()
@@ -326,44 +326,6 @@ class TestFieldSweepFit:
         with pytest.raises(ValidationError, match="grid"):
             ft.simulate_current_sweep(PARAMS, (1, 0, 0), np.linspace(1, 5, 5),
                                       166.2, grid)
-
-
-class TestPhotometrics:
-    def test_oscillator_strength_against_published_value(self):
-        f = ft.oscillator_strength([5.3, 0.78, 5.95], 6.97e16, 1.895)
-        assert f == pytest.approx(6.24e-7, rel=1e-3)
-        # the published estimate is 2.4e-7; the classical relation
-        # reproduces it within the documented factor-4 band
-        assert 0.25 < f / 2.4e-7 < 4.0
-
-    def test_linearity_and_density_scaling(self):
-        f = ft.oscillator_strength([5.3, 0.78, 5.95], 6.97e16, 1.895)
-        doubled = ft.oscillator_strength([10.6, 1.56, 11.9], 6.97e16, 1.895)
-        halved = ft.oscillator_strength([5.3, 0.78, 5.95], 2 * 6.97e16, 1.895)
-        assert doubled == pytest.approx(2 * f, rel=1e-12)
-        assert halved == pytest.approx(f / 2, rel=1e-12)
-
-    def test_zero_density_rejected(self):
-        with pytest.raises(DomainError):
-            ft.oscillator_strength([1, 1, 1], 0.0, 1.895)
-
-    def test_spontaneous_rate_against_published_value(self):
-        gamma, beta = ft.spontaneous_rate_and_beta(2.4e-7, 973.16, 1.895, 0.385e-3)
-        assert 60.0 / 4 < gamma < 60.0 * 4
-        assert gamma == pytest.approx(210.8, rel=1e-3)
-
-    def test_branching_ratio_product(self):
-        gamma, beta = ft.spontaneous_rate_and_beta(2.4e-7, 973.16, 1.895, 0.385e-3)
-        assert beta == pytest.approx(gamma * 0.385e-3, rel=1e-12)
-        # for the published 60 s^-1 the product gives 0.0231 (the quoted
-        # branching value 0.04 is inconsistent with its own factors)
-        assert 60.0 * 0.385e-3 == pytest.approx(0.0231, abs=1e-4)
-
-    def test_rate_scales_linearly_with_f(self):
-        g1, b1 = ft.spontaneous_rate_and_beta(2.4e-7, 973.16, 1.895, 0.385e-3)
-        g2, b2 = ft.spontaneous_rate_and_beta(4.8e-7, 973.16, 1.895, 0.385e-3)
-        assert g2 == pytest.approx(2 * g1, rel=1e-12)
-        assert b2 == pytest.approx(2 * b1, rel=1e-12)
 
 
 class TestRoundTripIdentifiability:

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ def test_spin_half_operators_algebra():
 
 
 def test_operator_built_hamiltonian_matches_assembled_matrix():
-    (sx, sy, sz), (ix, iy, iz) = sh.product_operators()
+    (sx, sy, sz), (ix, iy, iz) = sh.S_OPS, sh.I_OPS
     rng = np.random.default_rng(0)
     for _ in range(25):
         ap, aq = rng.uniform(-5, 5, 2)
@@ -42,7 +41,7 @@ def test_operator_built_hamiltonian_matches_assembled_matrix():
                 + CONSTANTS.mu_b_ghz_per_t * (g.perpendicular * (bt[0] * sx + bt[1] * sy)
                                               + g.parallel * bt[2] * sz)
                 - CONSTANTS.mu_n_ghz_per_t * p.g_n * (bt[0] * ix + bt[1] * iy + bt[2] * iz))
-        h = sh.build_hamiltonian(p, Manifold.GROUND, b)
+        h = sh.hamiltonians(p, Manifold.GROUND, b[None])[0]
         assert np.allclose(h, href, atol=1e-12)
 
 
@@ -55,41 +54,11 @@ def test_zero_field_eigenvalues_default_parameters():
 
 
 def test_hamiltonian_traceless_and_hermitian_any_field():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        b = rng.uniform(-2000, 2000, 3)
-        for m in Manifold:
-            h = sh.build_hamiltonian(PARAMS, m, b)
-            assert abs(np.trace(h)) < 1e-12
-            assert np.linalg.norm(h - h.conj().T) < 1e-12
-
-
-def test_diagonalize_trivial_diagonal_matrix():
-    eig = sh.diagonalize(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
-    assert np.allclose(eig.energies, [1, 2, 3, 4])
-    assert np.allclose(np.abs(eig.states), np.eye(4))
-
-
-def test_diagonalize_rejects_non_hermitian():
-    h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    h[0, 1] = 0.5
-    with pytest.raises(ValidationError):
-        sh.diagonalize(h)
-
-
-def test_diagonalize_trace_identity_random_hermitian():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (m + m.conj().T) / 2
-        eig = sh.diagonalize(h)
-        assert abs(eig.energies.sum() - np.trace(h).real) < 1e-9
-        # residual of the eigenproblem
-        for k in range(4):
-            r = h @ eig.states[:, k] - eig.energies[k] * eig.states[:, k]
-            assert np.linalg.norm(r) < 1e-9 * max(1.0, np.linalg.norm(h))
-        overlap = eig.states.conj().T @ eig.states
-        assert np.allclose(overlap, np.eye(4), atol=1e-12)
+    fields = np.random.default_rng(1).uniform(-2000, 2000, size=(100, 3))
+    for m in Manifold:
+        h = sh.hamiltonians(PARAMS, m, fields)
+        assert np.abs(np.trace(h, axis1=1, axis2=2)).max() < 1e-12
+        assert np.linalg.norm(h - h.conj().transpose(0, 2, 1), axis=(1, 2)).max() < 1e-12
 
 
 def test_eigenvector_phase_convention():
@@ -149,12 +118,12 @@ def test_doublet_basis_convention():
 def test_zero_field_level_splittings():
     levels = sh.zero_field_levels(PARAMS.a_ground)
     assert [g.label for g in levels] == ["singlet-", "doublet", "singlet+"]
-    gaps = sh.zero_field_splittings(PARAMS.a_ground)
-    assert gaps["singlet-_to_singlet+"] == pytest.approx(3.08187, abs=1e-9)
-    assert gaps["singlet-_to_doublet"] == pytest.approx(1.146410, abs=1e-6)
+    doublet_gap, full_gap = (g.energy_ghz - levels[0].energy_ghz for g in levels[1:])
+    assert full_gap == pytest.approx(3.08187, abs=1e-9)
+    assert doublet_gap == pytest.approx(1.146410, abs=1e-6)
     # measured value of the full gap is 3.08387 GHz; the tabulated tensor
     # reproduces it to 0.07 percent
-    assert abs(gaps["singlet-_to_singlet+"] - 3.08387) / 3.08387 < 1e-3
+    assert abs(full_gap - 3.08387) / 3.08387 < 1e-3
 
 
 def test_checked_zero_field_levels_follow_the_level_layout():
@@ -180,21 +149,26 @@ def test_zero_field_levels_all_zero_tensor():
     assert all(g.energy_ghz == 0.0 for g in levels)
 
 
+# Zero-field eigenvectors |1>..|4> in the product basis (up-Up, up-Dn,
+# dn-Up, dn-Dn), by the conventional level numbering of each manifold
+_SQ2 = 1.0 / np.sqrt(2.0)
+SINGLET_MINUS = np.array([0, _SQ2, -_SQ2, 0])   # (up-Dn - dn-Up)/sqrt2
+SINGLET_PLUS = np.array([0, _SQ2, _SQ2, 0])     # (up-Dn + dn-Up)/sqrt2
+UP_UP, DN_DN = np.eye(4)[0], np.eye(4)[3]
+GROUND_ZERO_FIELD = (SINGLET_MINUS, UP_UP, DN_DN, SINGLET_PLUS)
+EXCITED_ZERO_FIELD = (UP_UP, DN_DN, SINGLET_PLUS, SINGLET_MINUS)
+
+
 def test_zero_field_states_ground_match_numerics():
     eig = sh.eigensystem(PARAMS, Manifold.GROUND)
-    for k, (_, vec) in enumerate(sh.zero_field_states(Manifold.GROUND)):
+    for k, vec in enumerate(GROUND_ZERO_FIELD):
         assert abs(np.vdot(vec, eig.states[:, k])) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_zero_field_states_orthogonal():
-    states = sh.zero_field_states(Manifold.GROUND)
-    assert abs(np.vdot(states[0][1], states[3][1])) < 1e-12
-
-
 def test_excited_entangled_states_have_schmidt_rank_two():
-    for index in (2, 3):
-        _, vec = sh.zero_field_states(Manifold.EXCITED)[index]
-        singular = np.linalg.svd(vec.reshape(2, 2), compute_uv=False)
+    eig = sh.eigensystem(PARAMS, Manifold.EXCITED)
+    for index in (3, 4):
+        singular = np.linalg.svd(eig.state(index).reshape(2, 2), compute_uv=False)
         assert np.allclose(singular, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
 
 
@@ -204,47 +178,22 @@ def test_excited_zero_field_labels_follow_printed_sign_convention():
     # carry the positive sign, which swaps the two entangled combinations.
     p_neg = replace(PARAMS, a_excited=a_tensor(-2.87, -2.72))
     eig = sh.eigensystem(p_neg, Manifold.EXCITED)
-    for k, (_, vec) in enumerate(sh.zero_field_states(Manifold.EXCITED)):
+    for k, vec in enumerate(EXCITED_ZERO_FIELD):
         assert abs(np.vdot(vec, eig.states[:, k])) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_high_field_ground_assignment_matches_numerics():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assigned = sh.high_field_states(Manifold.GROUND, 10e3, PARAMS)
-    assert [lab for lab, _ in assigned] == ["dn-Dn", "dn-Up", "up-Up", "up-Dn"]
-    eig = sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 0.0, 10e3))
-    for k, (_, vec) in enumerate(assigned):
-        assert abs(np.vdot(vec, eig.states[:, k])) > 0.99
-
-
 def test_high_field_overlaps_approach_one():
+    # along c, each eigenvector tends to one product state, a different one
+    # for each level, as the electron Zeeman term outgrows the hyperfine one
     previous = 0.0
     for b_mt in (1e3, 1e4, 1e5):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assigned = sh.high_field_states(Manifold.GROUND, b_mt, PARAMS)
-        eig = sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 0.0, b_mt))
-        worst = min(abs(np.vdot(vec, eig.states[:, k]))
-                    for k, (_, vec) in enumerate(assigned))
+        states = sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 0.0, b_mt)).states
+        overlaps = np.abs(states)
+        assert sorted(np.argmax(overlaps, axis=0)) == [0, 1, 2, 3]
+        worst = overlaps.max(axis=0).min()
         assert worst > previous
         previous = worst
     assert previous > 1 - 1e-6
-
-
-def test_high_field_assignment_under_positive_sign_conventions():
-    # With both g components positive the excited assignment reproduces the
-    # conventional product-state ordering (dn-Dn, dn-Up, up-Up, up-Dn); the
-    # ground ordering (dn-Up, dn-Dn, up-Dn, up-Up) needs a positive parallel
-    # hyperfine component.  The tabulated signs give different orderings.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p_gpos = replace(PARAMS, g_excited=g_tensor(+1.446, 1.293))
-        exc = [lab for lab, _ in sh.high_field_states(Manifold.EXCITED, 10e3, p_gpos)]
-        assert exc == ["dn-Dn", "dn-Up", "up-Up", "up-Dn"]
-        p_apos = replace(PARAMS, a_ground=a_tensor(+0.78905, 3.08187))
-        gnd = [lab for lab, _ in sh.high_field_states(Manifold.GROUND, 10e3, p_apos)]
-        assert gnd == ["dn-Up", "dn-Dn", "up-Dn", "up-Up"]
 
 
 def test_degenerate_block_ordered_by_sz_then_iz():
@@ -255,11 +204,6 @@ def test_degenerate_block_ordered_by_sz_then_iz():
         states = sh.eigensystem(params, manifold).states
         # columns up-Up, up-Dn, dn-Up, dn-Dn: Sz descending, then Iz
         assert np.abs(states - np.eye(4)).max() <= 1e-15
-
-
-def test_high_field_warns_outside_regime():
-    with pytest.warns(UserWarning):
-        sh.high_field_states(Manifold.GROUND, 10.0, PARAMS)
 
 
 def test_sensitivity_protected_states_zero():
@@ -366,6 +310,7 @@ def test_batched_energies_match_single_calls():
 
 
 def test_eigensystems_equal_per_row_diagonalize():
+    # eigensystem is the one-row case of eigensystems
     rng = np.random.default_rng(9)
     axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     fields = np.concatenate([rng.uniform(-400, 400, size=(40, 3)),
@@ -377,7 +322,7 @@ def test_eigensystems_equal_per_row_diagonalize():
             assert energies.shape == (fields.shape[0], 4)
             assert states.shape == (fields.shape[0], 4, 4)
             for row, b in enumerate(fields):
-                ref = sh.diagonalize(sh.build_hamiltonian(params, manifold, b))
+                ref = sh.eigensystem(params, manifold, b)
                 assert np.array_equal(energies[row], ref.energies)
                 assert np.array_equal(states[row], ref.states)
 
@@ -402,7 +347,7 @@ def test_hamiltonian_stack_equals_single_builds():
             assert stack.shape == (fields.shape[0], 4, 4)
             for row, b in enumerate(fields):
                 assert np.array_equal(
-                    stack[row], sh.build_hamiltonian(params, manifold, b))
+                    stack[row], sh.hamiltonians(params, manifold, b[None])[0])
             assert np.array_equal(np.linalg.eigvalsh(stack),
                                   sh.manifold_energies(params, manifold, fields))
 
@@ -418,10 +363,9 @@ def test_stack_builder_and_energies_reject_bad_fields():
 
 
 def test_product_operators_are_read_only_constants():
-    s_ops, i_ops = sh.product_operators()
-    assert s_ops is sh.S_OPS and i_ops is sh.I_OPS
-    with pytest.raises(ValueError):
-        s_ops[2][0, 0] = 1.0
+    for op in sh.S_OPS + sh.I_OPS:
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 def _reference_fix_phase(vec):
@@ -435,7 +379,7 @@ def _reference_fix_phase(vec):
 def test_vectorised_phase_convention_equals_per_column_loop():
     rng = np.random.default_rng(10)
     fields = rng.uniform(-400, 400, size=(200, 3))
-    h = np.stack([sh.build_hamiltonian(PARAMS, Manifold.EXCITED, b) for b in fields])
+    h = sh.hamiltonians(PARAMS, Manifold.EXCITED, fields)
     _, vectors = np.linalg.eigh(h)
     fixed = sh._fix_phases(vectors)
     for row in range(fields.shape[0]):
@@ -566,8 +510,8 @@ def test_operator_pair_matches_hand_typed_forms():
 def test_zeeman_operators_are_the_read_only_zero_field_and_slope_pair():
     h0, zeeman = sh.zeeman_operators(PARAMS, Manifold.EXCITED)
     assert h0.shape == (4, 4) and zeeman.shape == (3, 4, 4)
-    assert np.array_equal(h0, sh.build_hamiltonian(PARAMS, Manifold.EXCITED,
-                                                   (0.0, 0.0, 0.0)))
+    assert np.array_equal(h0, sh.hamiltonians(PARAMS, Manifold.EXCITED,
+                                              np.zeros((1, 3)))[0])
     for a, axis in enumerate(np.eye(3)):
         assert np.array_equal(zeeman[a], sh.field_derivative_operator(
             PARAMS, Manifold.EXCITED, axis))
@@ -621,9 +565,14 @@ def test_eigensystems_rows_follow_the_conventions(rows, preset, manifold, nuclea
     energies, states = sh.eigensystems(params, manifold, fields)
     eye = np.eye(4)
     sz, iz = sh.S_OPS[2], sh.I_OPS[2]
-    for e, v in zip(energies, states):
+    for h, e, v in zip(sh.hamiltonians(params, manifold, fields), energies, states):
         assert np.all(np.diff(e) >= 0.0)
         assert np.abs(v.conj().T @ v - eye).max() <= 1e-14
+        # H v = E v, up to the spread of a degenerate block that was rotated
+        gaps = np.abs(e[:, None] - e[None, :])
+        spread = np.where(gaps < sh._DEGENERACY_TOL_GHZ, gaps, 0.0).max(axis=1)
+        residual = np.linalg.norm(h @ v - v * e, axis=0)
+        assert np.all(residual <= spread + 1e-12 * max(1.0, np.linalg.norm(h)))
         # the largest-magnitude component of each column is real and positive;
         # components tied to rounding may each be the one chosen
         magnitude = np.abs(v)
