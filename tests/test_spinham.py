@@ -61,6 +61,21 @@ def test_hamiltonian_traceless_and_hermitian_any_field():
         assert np.linalg.norm(h - h.conj().transpose(0, 2, 1), axis=(1, 2)).max() < 1e-12
 
 
+def test_diagonalize_trace_identity_random_hermitian():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = (m + m.conj().T) / 2
+        energies, states = (a[0] for a in sh._eigh_stack(h[None]))
+        assert abs(energies.sum() - np.trace(h).real) < 1e-9
+        # residual of the eigenproblem
+        for k in range(4):
+            r = h @ states[:, k] - energies[k] * states[:, k]
+            assert np.linalg.norm(r) < 1e-9 * max(1.0, np.linalg.norm(h))
+        overlap = states.conj().T @ states
+        assert np.allclose(overlap, np.eye(4), atol=1e-12)
+
+
 def test_eigenvector_phase_convention():
     rng = np.random.default_rng(3)
     for _ in range(20):
