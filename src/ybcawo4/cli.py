@@ -50,12 +50,11 @@ class RunConfig:
     params: SpinSystemParams
     preset: str = "yb171-cawo4"
     out_dir: Path = Path("ybcawo4-out")
-    seed: int = 0
     input_files: list = field(default_factory=list)
 
     def resolved(self) -> dict:
-        """Preset, seed and every configuration key's value, by section."""
-        out = {"preset": self.preset, "seed": self.seed}
+        """Preset and every configuration key's value, by section."""
+        out = {"preset": self.preset}
         for key, (attr, component) in _CONFIG_KEYS.items():
             section, name = key.split(".")
             value = getattr(self.params, attr)
@@ -84,7 +83,7 @@ def _apply_override(params: SpinSystemParams, key: str,
 
 
 def parse_config(path: Path | None = None, overrides=(), preset: str = "yb171-cawo4",
-                 out_dir: Path = Path("ybcawo4-out"), seed: int = 0) -> RunConfig:
+                 out_dir: Path = Path("ybcawo4-out")) -> RunConfig:
     """Build the run configuration from a file plus inline overrides.
 
     The file format is one `section.key = value` per line; blank lines and
@@ -114,7 +113,7 @@ def parse_config(path: Path | None = None, overrides=(), preset: str = "yb171-ca
         key, raw = (part.strip() for part in item.split("=", 1))
         params = _apply_override(params, key, raw)
     return RunConfig(params=params, preset=preset, out_dir=Path(out_dir),
-                     seed=seed, input_files=input_files)
+                     input_files=input_files)
 
 
 def _sha256(path: Path) -> str:
@@ -173,6 +172,14 @@ def _check_count(option: str, value: int, minimum: int) -> None:
         raise ValidationError(f"{option} must be at least {minimum}")
 
 
+def _check_finite(*options) -> None:
+    """Each (option, value) pair must carry a finite number; checked before
+    a grid is built from the values."""
+    for option, value in options:
+        if not np.isfinite(value):
+            raise ValidationError(f"{option} must be finite")
+
+
 # --- subcommand implementations -------------------------------------------
 
 def _cmd_levels(config: RunConfig, args) -> list[Path]:
@@ -226,6 +233,7 @@ def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_sweep(config: RunConfig, args) -> list[Path]:
+    _check_finite(("--b-start", args.b_start), ("--b-stop", args.b_stop))
     _check_count("--steps", args.steps, 2)
     fields = np.linspace(args.b_start, args.b_stop, args.steps)
     weights = None if args.pol == "uniform" else args.pol
@@ -261,10 +269,8 @@ def _cmd_epr(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_rosette(config: RunConfig, args) -> list[Path]:
-    for option, value in (("--angle-start", args.angle_start),
-                          ("--angle-stop", args.angle_stop)):
-        if not np.isfinite(value):
-            raise ValidationError(f"{option} must be finite")
+    _check_finite(("--angle-start", args.angle_start),
+                  ("--angle-stop", args.angle_stop))
     _check_count("--angle-steps", args.angle_steps, 2)
     angles = np.linspace(args.angle_start, args.angle_stop, args.angle_steps)
     rosette = spectra.angular_rosette(config.params, args.plane, angles,
@@ -311,7 +317,10 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
     if args.jmix_targets:
         t_par, t_perp = _number_list(args.jmix_targets, "--jmix-targets",
                                      "G_PAR,G_PERP", (float, float))
-        coeffs = grouptheory.fit_j_mixing(t_par, t_perp, seed=config.seed)
+        try:
+            coeffs = grouptheory.fit_j_mixing(t_par, t_perp)
+        except NumericalError as err:
+            raise NumericalError(f"--jmix-targets: {err}") from None
         rows += [["jmix_a", coeffs.a], ["jmix_b", coeffs.b],
                  ["jmix_c", coeffs.c], ["jmix_d", coeffs.d],
                  ["jmix_ratio", coeffs.mixing_ratio]]
@@ -327,6 +336,7 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
+    _check_finite(("--t-min", args.t_min), ("--t-max", args.t_max))
     _check_count("--steps", args.steps, 1)
     temperatures = np.linspace(args.t_min, args.t_max, args.steps)
     t2 = dynamics.t2_vs_temperature(config.params, temperatures, args.mode)
@@ -463,16 +473,19 @@ _SUBCOMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that takes a number list such as "-1.4,1.3" for a value.
+    """ArgumentParser that takes a number list such as "-1.4,1.3", or "-inf",
+    for a value.
 
     argparse reads any token that starts with "-" and is not one plain
-    negative number as an option, so "--grid -3,4,201" would fail with
-    "expected one argument".  No option of this parser looks like a number.
+    negative decimal as an option, so "--grid -3,4,201" or "--t-min -inf"
+    would fail with "expected one argument".  No option of this parser
+    looks like a number.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.eE+,-]*$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d[\d.eE+,-]*|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inline parameter override (repeatable)")
     parser.add_argument("--preset", default="yb171-cawo4", choices=PRESET_NAMES)
     parser.add_argument("--out", type=Path, default=Path("ybcawo4-out"))
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("levels", help="energy levels and the clock splitting")
@@ -574,8 +586,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        config = parse_config(args.config, args.set, args.preset, args.out,
-                              args.seed)
+        config = parse_config(args.config, args.set, args.preset, args.out)
         config.out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _SUBCOMMANDS[args.command](config, args)
         _write_manifest(config, args.command, outputs, started)

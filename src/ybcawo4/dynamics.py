@@ -27,6 +27,14 @@ from .spectra import BranchingTable, MEASURED_BRANCHING
 from . import spinham
 
 
+def _check_positive(name: str, value: float) -> None:
+    """value must be a positive, finite number (NaN is not positive)."""
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
+
+
 def _into_ground_levels(rates: np.ndarray, source_group: tuple[int, ...]) -> np.ndarray:
     """Lift rates into the ground groups (rows) to the four ground levels.
 
@@ -104,8 +112,7 @@ class FlipFlopParams:
             raise ValidationError("coupling and density must be non-negative")
         if self.gamma_inh_khz < 0 or self.gamma_h_khz < 0:
             raise ValidationError("linewidths must be non-negative")
-        if not self.temperature_k > 0:
-            raise ValidationError("temperature must be positive")
+        _check_positive("temperature", self.temperature_k)
 
 
 def flipflop_rate(p: FlipFlopParams) -> float:
@@ -136,8 +143,7 @@ SLR_UPPER = SlrParams(0.2e-4, 9e-4, 0.25e-4)
 
 
 def slr_rate(temperature_k: float, p: SlrParams) -> float:
-    if not temperature_k > 0:
-        raise ValidationError("temperature must be positive")
+    _check_positive("temperature", temperature_k)
     t = temperature_k
     return p.r0_hz + p.a1_hz_k2 * t**2 + p.a2_hz_k9 * t**9
 
@@ -152,8 +158,7 @@ def slr_crossover_temperature(p: SlrParams) -> float:
 def boltzmann_populations(energies_ghz, temperature_k: float,
                           degeneracies=None) -> np.ndarray:
     """Normalized thermal weights g_i exp(-E_i h / kB T)."""
-    if not temperature_k > 0:
-        raise ValidationError("temperature must be positive")
+    _check_positive("temperature", temperature_k)
     e = np.asarray(energies_ghz, dtype=float)
     g = np.ones_like(e) if degeneracies is None else np.asarray(degeneracies, float)
     x = -(e - e.min()) * CONSTANTS.h_over_kb_k_per_ghz / temperature_k
@@ -227,8 +232,8 @@ class PumpConfig:
     temperature_k: float = 0.05
 
     def __post_init__(self):
-        if not self.duration_s > 0:
-            raise ValidationError("duration must be positive")
+        _check_positive("duration", self.duration_s)
+        _check_positive("temperature", self.temperature_k)
         for (g_level, e_level), rate in self.transitions:
             if not (1 <= g_level <= 4 and 1 <= e_level <= 4):
                 raise ValidationError("pumped transition indices must be 1..4")

@@ -395,16 +395,26 @@ class DoubletCoefficients:
         return (self.c**2 + self.d**2) / (self.a**2 + self.b**2)
 
 
+# The g factors of the J-mixed 5/2 G56 doublet are quadratic forms on its
+# amplitude vector v = (a, b, c, d): g_par = v^T P v and the signed
+# g_perp = v^T Q v.
+_P_52 = np.array([
+    [5 * G_52, 0.0, -2 * math.sqrt(6) / 7, 0.0],
+    [0.0, -3 * G_52, 0.0, -2 * math.sqrt(10) / 7],
+    [-2 * math.sqrt(6) / 7, 0.0, 5 * G_72, 0.0],
+    [0.0, -2 * math.sqrt(10) / 7, 0.0, -3 * G_72]])
+_Q_52 = np.array([
+    [0.0, -math.sqrt(5) * G_52, 0.0, -math.sqrt(2) / 7],
+    [-math.sqrt(5) * G_52, 0.0, -math.sqrt(30) / 7, 0.0],
+    [0.0, -math.sqrt(30) / 7, 0.0, 2 * math.sqrt(3) * G_72],
+    [-math.sqrt(2) / 7, 0.0, 2 * math.sqrt(3) * G_72, 0.0]])
+# v^T D v = c^2 + d^2, the weight of the J = 7/2 admixture
+_D_52 = np.diag([0.0, 0.0, 1.0, 1.0])
+
+
 def _g_mixed_52(a, b, c, d):
-    g_par = (G_52 * (5 * a * a - 3 * b * b)
-             - (2 * math.sqrt(6) / 7) * 2 * a * c
-             - (2 * math.sqrt(10) / 7) * 2 * b * d
-             + G_72 * (5 * c * c - 3 * d * d))
-    g_perp = abs(-2 * math.sqrt(5) * G_52 * a * b
-                 - (2 * math.sqrt(30) / 7) * b * c
-                 - (2 * math.sqrt(2) / 7) * a * d
-                 + 4 * math.sqrt(3) * G_72 * c * d)
-    return g_par, g_perp
+    v = np.array([a, b, c, d], dtype=float)
+    return float(v @ _P_52 @ v), abs(float(v @ _Q_52 @ v))
 
 
 def doublet_g_factors(coeffs: DoubletCoefficients) -> tuple[float, float]:
@@ -456,154 +466,122 @@ def g_consistency_relation(j: float, family: str, order: str, g_parallel: float)
     return 3.0 * G_52
 
 
-def _nelder_mead(f, x0, scale=0.4, max_iter=4000, ftol=1e-14, xtol=1e-12):
-    """Minimal Nelder-Mead simplex; returns (x_best, f_best)."""
-    n = len(x0)
-    simplex = [np.asarray(x0, dtype=float)]
-    for i in range(n):
-        x = simplex[0].copy()
-        x[i] += scale
-        simplex.append(x)
-    values = [f(x) for x in simplex]
-    for _ in range(max_iter):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if (values[-1] - values[0] < ftol
-                and max(np.max(np.abs(s - simplex[0])) for s in simplex) < xtol):
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(expanded)
-            simplex[-1], values[-1] = ((expanded, fe) if fe < fr else (reflected, fr))
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = f(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    best = int(np.argmin(values))
-    return simplex[best], values[best]
+# Newton steps per start, and the largest equation residual that counts as
+# a solution.
+_NEWTON_STEPS = 40
+_JMIX_TOL = 1e-12
 
 
-def _angles_to_coeffs(theta):
-    t1, t2, t3 = theta
-    a = math.cos(t1)
-    b = math.sin(t1) * math.cos(t2)
-    c = math.sin(t1) * math.sin(t2) * math.cos(t3)
-    d = math.sin(t1) * math.sin(t2) * math.sin(t3)
-    return a, b, c, d
+def _start_grid() -> np.ndarray:
+    """Unit vectors (a, b, c, d) at 6 x 6 x 6 hyperspherical angles; negating
+    b and d maps the grid onto itself."""
+    k = (np.arange(6) + 0.5) / 6
+    t1, t2, t3 = np.meshgrid(np.pi * k, np.pi * k, 2 * np.pi * k, indexing="ij")
+    return np.stack([np.cos(t1), np.sin(t1) * np.cos(t2),
+                     np.sin(t1) * np.sin(t2) * np.cos(t3),
+                     np.sin(t1) * np.sin(t2) * np.sin(t3)], axis=-1).reshape(-1, 4)
 
 
-# Random restarts of the J-mixing fit, and the g residual it must reach.
-_JMIX_RESTARTS = 10
-_JMIX_TOL = 1e-6
+_JMIX_STARTS = _start_grid()
 
 
-def _fit_at_fixed_mixing(t_par, t_perp, ratio, rng):
-    """Best (a,b,c,d) with (c^2+d^2)/(a^2+b^2) pinned to `ratio`."""
-    n_ab = 1.0 / math.sqrt(1.0 + ratio)
-    n_cd = math.sqrt(ratio) / math.sqrt(1.0 + ratio)
+def _newton(system, x):
+    """Newton's method from starts x (n, k); system(x) returns the residuals
+    (n, k) and Jacobians (n, k, k).  Returns the finite end points and the
+    largest absolute residual of each."""
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f, jac = system(x)
+            live = np.isfinite(f).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+            x, f, jac = x[live], f[live], jac[live]
+            x = x - np.linalg.solve(jac, f[..., None])[..., 0]
+        residual = np.max(np.abs(system(x)[0]), axis=1)
+    keep = np.isfinite(residual)
+    return x[keep], residual[keep]
 
-    def coeffs(v):
-        t, p = v
-        return (math.cos(t) * n_ab, math.sin(t) * n_ab,
-                math.cos(p) * n_cd, math.sin(p) * n_cd)
 
-    def objective(v):
-        g_par, g_perp = _g_mixed_52(*coeffs(v))
-        return (g_par - t_par) ** 2 + (g_perp - t_perp) ** 2
+def _g_constraints(v, t_par, t_perp):
+    """Rows (v^T P, v^T Q, v^T) per vector, and the residuals of
+    g_par = t_par, signed g_perp = t_perp and |v|^2 = 1."""
+    rows = np.stack([v @ _P_52, v @ _Q_52, v], axis=1)
+    return rows, np.einsum("nkj,nj->nk", rows, v) - [t_par, t_perp, 1.0]
 
-    best_v, best_val = None, np.inf
-    for _ in range(_JMIX_RESTARTS * 4):
-        v, val = _nelder_mead(objective, rng.uniform(0, 2 * np.pi, 2))
-        if val < best_val:
-            best_v, best_val = v, val
-    return coeffs(best_v), best_val
+
+def _pinned_solutions(t_par, t_perp, ratio):
+    """Vectors with the target g pair and (c^2+d^2)/(a^2+b^2) = ratio: four
+    quadratic equations in (a, b, c, d), Jacobian rows 2 v^T (P, Q, 1, D)."""
+    weight = ratio / (1.0 + ratio)
+
+    def system(v):
+        rows, residual = _g_constraints(v, t_par, t_perp)
+        dv = v @ _D_52
+        return (np.column_stack([residual, (dv * v).sum(axis=1) - weight]),
+                2.0 * np.concatenate([rows, dv[:, None, :]], axis=1))
+
+    return _newton(system, _JMIX_STARTS)
+
+
+def _least_mixed_solutions(t_par, t_perp):
+    """Stationary points of v^T D v on the target curve: the KKT system
+    (D - lam P - mu Q - nu I) v = 0 plus the three constraints, started
+    from least-squares multipliers."""
+    forms = np.stack([_P_52, _Q_52, np.eye(4)])
+
+    def system(x):
+        v, multipliers = x[:, :4], x[:, 4:]
+        rows, residual = _g_constraints(v, t_par, t_perp)
+        jac = np.zeros((len(x), 7, 7))
+        jac[:, :4, :4] = _D_52 - np.einsum("nk,kij->nij", multipliers, forms)
+        jac[:, :4, 4:] = -rows.transpose(0, 2, 1)
+        jac[:, 4:, :4] = 2.0 * rows
+        gradient = v @ _D_52 - np.einsum("nk,nkj->nj", multipliers, rows)
+        return np.column_stack([gradient, residual]), jac
+
+    rows, _ = _g_constraints(_JMIX_STARTS, t_par, t_perp)
+    multipliers = np.einsum("nkj,nj->nk", np.linalg.pinv(rows.transpose(0, 2, 1)),
+                            _JMIX_STARTS @ _D_52)
+    x, residual = _newton(system, np.column_stack([_JMIX_STARTS, multipliers]))
+    return x[:, :4], residual
 
 
 def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
-                 seed: int = 0, mixing_ratio: float | None = None
-                 ) -> DoubletCoefficients:
+                 mixing_ratio: float | None = None) -> DoubletCoefficients:
     """Amplitudes (a, b, c, d) reproducing the target g pair of the 5/2 doublet.
 
-    Minimizes the squared residual of the J-mixing g expressions over the
-    normalized coefficient vector (three free angles) with _JMIX_RESTARTS
-    random restarts.  Two g values do not pin down four amplitudes: when the
-    targets are exactly attainable the solutions form a one-parameter family
-    along which the mixing ratio varies, so among all restarts that reach
-    the residual tolerance _JMIX_TOL the one with the smallest admixture is
-    returned (J mixing treated as a perturbation).  Pass `mixing_ratio` to pin
-    (c^2+d^2)/(a^2+b^2) instead and probe whether a solution with that much
-    mixing reproduces the targets.
-
-    Raises NumericalError when no restart reaches the tolerance.
+    A deterministic polynomial solve: Newton's method with the exact
+    Jacobian from the fixed start grid.  Two g values leave a one-parameter
+    family of solutions along which R = (c^2+d^2)/(a^2+b^2) varies; the
+    least-mixed member is returned (J mixing treated as a perturbation).
+    Pass `mixing_ratio` to pin R instead; of the (at most two) solutions
+    left, the one with the larger a is returned.  Only g_perp = +|target|
+    is solved, as negating b and d maps it onto -|target|.  Signs follow
+    the rule a >= 0, then b >= 0.  Raises NumericalError when no start
+    converges.
     """
     if not (math.isfinite(target_g_parallel) and math.isfinite(target_g_perpendicular)):
         raise ValidationError("targets must be finite")
     t_par, t_perp = target_g_parallel, abs(target_g_perpendicular)
-    rng = np.random.default_rng(seed)
-
-    if mixing_ratio is not None:
-        if mixing_ratio < 0:
-            raise ValidationError("mixing_ratio must be non-negative")
-        (a, b, c, d), best_val = _fit_at_fixed_mixing(t_par, t_perp, mixing_ratio,
-                                                      rng)
-        best = (a, b, c, d)
+    if mixing_ratio is None:
+        v, residual = _least_mixed_solutions(t_par, t_perp)
+    elif not (math.isfinite(mixing_ratio) and mixing_ratio >= 0):
+        raise ValidationError("mixing_ratio must be finite and non-negative")
     else:
-        def objective(theta):
-            g_par, g_perp = _g_mixed_52(*_angles_to_coeffs(theta))
-            return (g_par - t_par) ** 2 + (g_perp - t_perp) ** 2
-
-        # deterministic start at the unmixed solution, then random restarts
-        try:
-            unmixed = fit_doublet_amplitudes(t_par, j=2.5, family="G56")
-            starts = [np.array([math.acos(unmixed[0]), 0.0, 0.0])]
-        except DomainError:
-            starts = [np.array([0.8, 0.4, 0.4])]
-        starts += [rng.uniform(0, np.pi, 3) for _ in range(_JMIX_RESTARTS - 1)]
-        best, best_val = None, np.inf
-        converged = []
-        for theta0 in starts:
-            theta, value = _nelder_mead(objective, theta0)
-            if value < best_val:
-                best, best_val = _angles_to_coeffs(theta), value
-            if value <= _JMIX_TOL**2:
-                converged.append(_angles_to_coeffs(theta))
-        if converged:
-            best = min(converged, key=lambda x: x[2] ** 2 + x[3] ** 2)
-            # slide along the solution family to the least-mixed point
-            theta0 = np.array([math.acos(np.clip(best[0], -1, 1)),
-                               math.atan2(math.hypot(best[2], best[3]), best[1]),
-                               math.atan2(best[3], best[2])])
-            for penalty in (1e6, 1e9, 1e12):
-                theta0, _ = _nelder_mead(
-                    lambda th: penalty * objective(th)
-                    + _angles_to_coeffs(th)[2] ** 2 + _angles_to_coeffs(th)[3] ** 2,
-                    theta0, scale=0.05)
-            polished = _angles_to_coeffs(theta0)
-            if objective(theta0) <= _JMIX_TOL**2:
-                best = polished
-            g_par, g_perp = _g_mixed_52(*best)
-            best_val = (g_par - t_par) ** 2 + (g_perp - t_perp) ** 2
-
-    if best_val > _JMIX_TOL**2:
-        raise NumericalError(
-            f"J-mixing fit did not converge: best residual {math.sqrt(best_val):.3e}")
-    a, b, c, d = best
-    if a < 0:  # global sign freedom
-        a, b, c, d = -a, -b, -c, -d
-    norm = math.sqrt(a * a + b * b + c * c + d * d)
-    return DoubletCoefficients(a / norm, b / norm, c / norm, d / norm,
-                               j=2.5, family="G56", order="upper")
+        v, residual = _pinned_solutions(t_par, t_perp, mixing_ratio)
+    solved = residual <= _JMIX_TOL
+    if not solved.any():
+        g_residual = np.abs(_g_constraints(v, t_par, t_perp)[1]).max(axis=1)
+        raise NumericalError("J-mixing fit did not converge: best residual "
+                             f"{g_residual.min(initial=np.inf):.3e}")
+    # negating v, or b and d alone, changes neither g_par nor |g_perp|
+    v = v[solved]
+    v = np.where(v[:, :1] < 0, -v, v)
+    v = np.where(v[:, 1:2] < 0, v * [1.0, -1.0, 1.0, -1.0], v)
+    if mixing_ratio is None:
+        best = v[np.argmin(v[:, 2] ** 2 + v[:, 3] ** 2)]
+    else:
+        best = v[np.argmax(v[:, 0])]
+    return DoubletCoefficients.normalized(*best.tolist(), j=2.5, family="G56",
+                                          order="upper")
 
 
 def fit_doublet_amplitudes(g_parallel: float, j: float = 2.5,

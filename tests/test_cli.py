@@ -180,7 +180,7 @@ class TestSubcommands:
                        "--set", "system.sites_per_cell=2", "levels") == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         defaults = default_params()
-        assert config["preset"] == "yb171-cawo4" and config["seed"] == 0
+        assert config["preset"] == "yb171-cawo4"
         assert config["excited"] == {"g_par": -1.5, "g_perp": 1.293,
                                      "A_par_GHz": -2.87, "A_perp_GHz": 2.72}
         assert config["ground"]["A_perp_GHz"] == defaults.a_ground.perpendicular
@@ -189,7 +189,7 @@ class TestSubcommands:
         keys = {f"{section}.{name}" for section in ("ground", "excited", "system")
                 for name in config[section]}
         assert keys == set(cli._CONFIG_KEYS)
-        assert set(config) == {"preset", "seed", "ground", "excited", "system"}
+        assert set(config) == {"preset", "ground", "excited", "system"}
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         code = run_cli("--out", tmp_path / "x", "--set",
@@ -239,6 +239,7 @@ class TestOneInputPerQuantity:
 
     @pytest.mark.parametrize("argv", [["spectrum", "--fwhm-mhz", "400"],
                                       ["budget", "--t1", "1e-3"],
+                                      ["levels", "--seed", "7"],
                                       ["fit", "--model", "decay", "--data",
                                        "decay.csv", "--kind", "spin"]])
     def test_removed_options_exit_2(self, tmp_path, capsys, argv):
@@ -415,6 +416,26 @@ class TestMalformedOptionValues:
         assert done.returncode == 1
         assert done.stderr == "error (pump): temperature must be positive\n"
 
+    NON_FINITE_CASES = [
+        (["dynamics", "--t-min", "-inf"], 1, "--t-min"),
+        (["dynamics", "--t-max", "inf"], 1, "--t-max"),
+        (["sweep", "--b-start", "-inf"], 1, "--b-start"),
+        (["sweep", "--b-stop", "inf"], 1, "--b-stop"),
+        (["pump", "--duration", "inf"], 1, "duration"),
+        (["pump", "--temperature", "inf"], 1, "temperature"),
+        (["gfactor", "--jmix-targets", "0,50"], 2, "--jmix-targets"),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,code,name", NON_FINITE_CASES,
+                             ids=[" ".join(c[0]) for c in NON_FINITE_CASES])
+    def test_out_of_reach_input_is_named_without_warnings(self, tmp_path, capsys,
+                                                          argv, code, name):
+        assert run_cli("--out", tmp_path / "bad", *argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("error", "numerical failure")) and name in err
+        assert "Traceback" not in err
+
     def test_missing_data_file_is_a_named_error(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path / "fit", "fit", "--model", "sweep",
                        "--data", tmp_path / "missing.csv", "--axis", "a") == 1
@@ -426,7 +447,7 @@ class TestMalformedOptionValues:
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
-            assert run_cli("--out", tmp_path / name, "--seed", "7",
+            assert run_cli("--out", tmp_path / name,
                            "spectrum", "--pol", "sigma") == 0
         for filename in ("spectrum.csv", "lines.csv"):
             assert (tmp_path / "a" / filename).read_bytes() == \

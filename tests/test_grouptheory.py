@@ -324,6 +324,27 @@ class TestDoubletGFactors:
             assert gt.doublet_g_factors(coeffs) == \
                 gt._g_mixed_52(coeffs.a, coeffs.b, 0.0, 0.0)
 
+    def test_quadratic_forms_match_the_scalar_formulas(self):
+        def reference(a, b, c, d):
+            # the J-mixed 5/2 doublet written out term by term
+            g_par = (gt.G_52 * (5 * a * a - 3 * b * b)
+                     - (2 * math.sqrt(6) / 7) * 2 * a * c
+                     - (2 * math.sqrt(10) / 7) * 2 * b * d
+                     + gt.G_72 * (5 * c * c - 3 * d * d))
+            g_perp = (-2 * math.sqrt(5) * gt.G_52 * a * b
+                      - (2 * math.sqrt(30) / 7) * b * c
+                      - (2 * math.sqrt(2) / 7) * a * d
+                      + 4 * math.sqrt(3) * gt.G_72 * c * d)
+            return g_par, g_perp
+
+        rng = np.random.default_rng(6)
+        for v in rng.normal(size=(200, 4)):
+            g_par, g_perp = reference(*v)
+            assert v @ gt._P_52 @ v == pytest.approx(g_par, rel=1e-12, abs=1e-12)
+            assert v @ gt._Q_52 @ v == pytest.approx(g_perp, rel=1e-12, abs=1e-12)
+            assert gt._g_mixed_52(*v) == pytest.approx((g_par, abs(g_perp)),
+                                                       rel=1e-12, abs=1e-12)
+
 
 class TestConsistencyRelation:
     def test_excited_state_prediction(self):
@@ -429,11 +450,62 @@ class TestJMixingFit:
         coeffs = gt.fit_j_mixing(g_par, abs(g_perp))
         assert coeffs.mixing_ratio < 1e-6
 
-    def test_restart_stability(self):
-        ratios = [gt.fit_j_mixing(-1.446, 1.293, seed=s).mixing_ratio
-                  for s in range(10)]
-        spread = (max(ratios) - min(ratios)) / np.mean(ratios)
-        assert spread < 0.10
+    def test_least_mixed_point_of_the_excited_doublet(self):
+        # R_min from the tangency of the two g equations; the amplitudes of
+        # the earlier random search, with b and d negated by the sign rule
+        coeffs = gt.fit_j_mixing(-1.446, 1.293)
+        assert coeffs.mixing_ratio == pytest.approx(0.0028012763104484, rel=1e-12)
+        assert np.allclose([coeffs.a, coeffs.b, coeffs.c, coeffs.d],
+                           [0.3893341793140597, 0.9195789502461117,
+                            -0.045500468144866274, -0.026891606138438176],
+                           rtol=0.0, atol=1e-8)
+
+    def test_no_local_optimizer_finds_less_mixing(self):
+        # SLSQP from the generating vector and from random starts finds
+        # local minima of c^2 + d^2 on the target curve; none lies below the
+        # Newton answer
+        from scipy.optimize import minimize
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            v0 = rng.normal(size=4)
+            v0 /= np.linalg.norm(v0)
+            t_par, t_perp = v0 @ gt._P_52 @ v0, v0 @ gt._Q_52 @ v0
+            fit = gt.fit_j_mixing(t_par, t_perp)
+            g_par, g_perp = gt.doublet_g_factors(fit)
+            assert g_par == pytest.approx(t_par, abs=1e-9)
+            assert g_perp == pytest.approx(abs(t_perp), abs=1e-9)
+            constraints = [{"type": "eq", "fun": lambda v, m=m, t=t: v @ m @ v - t,
+                            "jac": lambda v, m=m: 2.0 * m @ v}
+                           for m, t in ((gt._P_52, t_par), (gt._Q_52, t_perp),
+                                        (np.eye(4), 1.0))]
+            oracle = []
+            for start in [v0, *rng.normal(size=(4, 4))]:
+                result = minimize(lambda v: v @ gt._D_52 @ v, start,
+                                  jac=lambda v: 2.0 * gt._D_52 @ v,
+                                  method="SLSQP", constraints=constraints,
+                                  options={"ftol": 1e-15, "maxiter": 500})
+                if result.success:
+                    weight = result.x @ gt._D_52 @ result.x
+                    oracle.append(weight / (1.0 - weight))
+            assert oracle
+            assert fit.mixing_ratio <= min(oracle) * (1.0 + 1e-9)
+
+    def test_pinned_ratio_solvable_only_above_the_least_mixed_one(self):
+        r_min = gt.fit_j_mixing(-1.446, 1.293).mixing_ratio
+        with pytest.raises(NumericalError):
+            gt.fit_j_mixing(-1.446, 1.293, mixing_ratio=r_min * (1.0 - 1e-6))
+        above = gt.fit_j_mixing(-1.446, 1.293, mixing_ratio=r_min * (1.0 + 1e-3))
+        assert above.mixing_ratio == pytest.approx(r_min * (1.0 + 1e-3), rel=1e-9)
+
+    def test_sign_rule(self):
+        for ratio in (None, 0.04, 1.0):
+            coeffs = gt.fit_j_mixing(-1.446, 1.293, mixing_ratio=ratio)
+            assert coeffs.a >= 0.0 and coeffs.b >= 0.0
+
+    @pytest.mark.parametrize("ratio", [-0.1, math.nan, math.inf])
+    def test_bad_mixing_ratio_rejected(self, ratio):
+        with pytest.raises(ValidationError, match="mixing_ratio"):
+            gt.fit_j_mixing(-1.446, 1.293, mixing_ratio=ratio)
 
     def test_unreachable_targets_raise(self):
         with pytest.raises(NumericalError) as err:
