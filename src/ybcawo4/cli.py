@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, csvio, dynamics, fitting, grouptheory, spectra, spinham
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import (DomainError, NumericalError, ValidationError, check_count,
+                     check_finite)
 from .params import (GROUND_GROUPS, Manifold, PRESET_NAMES, SpinSystemParams,
                      a_tensor, default_params, g_tensor)
 
@@ -73,13 +74,16 @@ def _apply_override(params: SpinSystemParams, key: str,
     except ValueError:
         raise ValidationError(f"non-numeric value for {key!r}: {raw_value!r}") \
             from None
-    if component is None:
+    try:
+        if component is not None:
+            tensor = getattr(params, attr)
+            maker = g_tensor if tensor.unit == "dimensionless" else a_tensor
+            parts = {"parallel": tensor.parallel, "perpendicular": tensor.perpendicular}
+            parts[component] = value
+            value = maker(parts["parallel"], parts["perpendicular"])
         return replace(params, **{attr: value})
-    tensor = getattr(params, attr)
-    maker = g_tensor if tensor.unit == "dimensionless" else a_tensor
-    parts = {"parallel": tensor.parallel, "perpendicular": tensor.perpendicular}
-    parts[component] = value
-    return replace(params, **{attr: maker(parts["parallel"], parts["perpendicular"])})
+    except ValidationError as err:
+        raise ValidationError(f"{key}: {err}") from None
 
 
 def parse_config(path: Path | None = None, overrides=(), preset: str = "yb171-cawo4",
@@ -137,13 +141,16 @@ def _write_manifest(config: RunConfig, command: str, outputs, started: float) ->
 
 def _number_list(raw: str, option: str, form: str, kinds) -> list:
     """The comma-separated entries of an option value, entry k converted by
-    kinds[k]; a wrong count or a bad entry is rejected with the option named."""
+    kinds[k]; a wrong count or a bad or non-finite entry is named by option."""
     parts = raw.split(",")
     if len(parts) == len(kinds):
         try:
-            return [kind(part) for kind, part in zip(kinds, parts)]
+            values = [kind(part) for kind, part in zip(kinds, parts)]
         except ValueError:
             pass
+        else:
+            check_finite(option, *values)
+            return values
     raise ValidationError(f"{option} must be {form}, got {raw!r}")
 
 
@@ -165,19 +172,6 @@ def _axis_from_arg(raw: str) -> np.ndarray:
 
 def _field_from_arg(raw: str) -> np.ndarray:
     return np.asarray(_number_list(raw, "--field", "bx,by,bz in mT", (float,) * 3))
-
-
-def _check_count(option: str, value: int, minimum: int) -> None:
-    if value < minimum:
-        raise ValidationError(f"{option} must be at least {minimum}")
-
-
-def _check_finite(*options) -> None:
-    """Each (option, value) pair must carry a finite number; checked before
-    a grid is built from the values."""
-    for option, value in options:
-        if not np.isfinite(value):
-            raise ValidationError(f"{option} must be finite")
 
 
 # --- subcommand implementations -------------------------------------------
@@ -233,8 +227,9 @@ def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_sweep(config: RunConfig, args) -> list[Path]:
-    _check_finite(("--b-start", args.b_start), ("--b-stop", args.b_stop))
-    _check_count("--steps", args.steps, 2)
+    check_finite("--b-start", args.b_start)
+    check_finite("--b-stop", args.b_stop)
+    check_count("--steps", args.steps, 2)
     fields = np.linspace(args.b_start, args.b_stop, args.steps)
     weights = None if args.pol == "uniform" else args.pol
     sweep = spectra.field_sweep_map(config.params, _axis_from_arg(args.axis),
@@ -269,9 +264,9 @@ def _cmd_epr(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_rosette(config: RunConfig, args) -> list[Path]:
-    _check_finite(("--angle-start", args.angle_start),
-                  ("--angle-stop", args.angle_stop))
-    _check_count("--angle-steps", args.angle_steps, 2)
+    check_finite("--angle-start", args.angle_start)
+    check_finite("--angle-stop", args.angle_stop)
+    check_count("--angle-steps", args.angle_steps, 2)
     angles = np.linspace(args.angle_start, args.angle_stop, args.angle_steps)
     rosette = spectra.angular_rosette(config.params, args.plane, angles,
                                       args.freq_ghz,
@@ -336,8 +331,9 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
-    _check_finite(("--t-min", args.t_min), ("--t-max", args.t_max))
-    _check_count("--steps", args.steps, 1)
+    check_finite("--t-min", args.t_min)
+    check_finite("--t-max", args.t_max)
+    check_count("--steps", args.steps, 1)
     temperatures = np.linspace(args.t_min, args.t_max, args.steps)
     t2 = dynamics.t2_vs_temperature(config.params, temperatures, args.mode)
     out = config.out_dir / "t2_curve.csv"
@@ -390,7 +386,7 @@ def _cmd_budget(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_pump(config: RunConfig, args) -> list[Path]:
-    _check_count("--max-rows", args.max_rows, 1)
+    check_count("--max-rows", args.max_rows, 1)
     pump_config = dynamics.PumpConfig(duration_s=args.duration,
                                       temperature_k=args.temperature)
     result = dynamics.pump_simulation(pump_config, config.params)

@@ -19,20 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import CONSTANTS, DIPOLE_HZ_CM3, thermal_occupation_factor
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import (DomainError, NumericalError, ValidationError, check_finite,
+                     check_non_negative, check_positive)
 from .params import (EXCITED_LEVEL_GROUP, GROUND_LEVEL_GROUP,
                      GROUND_MULTIPLICITIES, Manifold, SpinSystemParams,
                      UniaxialTensor)
 from .spectra import BranchingTable, MEASURED_BRANCHING
 from . import spinham
-
-
-def _check_positive(name: str, value: float) -> None:
-    """value must be a positive, finite number (NaN is not positive)."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be positive")
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite")
 
 
 def _into_ground_levels(rates: np.ndarray, source_group: tuple[int, ...]) -> np.ndarray:
@@ -51,9 +44,8 @@ def _into_ground_levels(rates: np.ndarray, source_group: tuple[int, ...]) -> np.
 def average_dopant_distance(volume_nm3: float, sites_per_cell: int,
                             occupied_fraction: float) -> float:
     """Mean dopant separation (V / (Z n))^(1/3) in nm for site occupancy n."""
-    if volume_nm3 <= 0 or sites_per_cell <= 0:
-        raise ValidationError("cell volume and site count must be positive")
-    if occupied_fraction <= 0 or occupied_fraction > 1:
+    check_positive("cell volume and site count", volume_nm3, sites_per_cell)
+    if not 0 < occupied_fraction <= 1:
         raise DomainError("occupied fraction must lie in (0, 1]")
     return (volume_nm3 / (sites_per_cell * occupied_fraction)) ** (1.0 / 3.0)
 
@@ -89,8 +81,7 @@ def flipflop_coupling(pair, g: UniaxialTensor) -> float:
 
 def flipflop_beta_integrated(pair, g: UniaxialTensor, r_avg_nm: float) -> float:
     """Coupling at the average dopant distance, in Hz^2 (= C / r_avg^6)."""
-    if r_avg_nm <= 0:
-        raise ValidationError("average distance must be positive")
+    check_positive("average distance", r_avg_nm)
     r_cm = r_avg_nm * 1e-7
     return flipflop_coupling(pair, g) / r_cm**6
 
@@ -108,17 +99,16 @@ class FlipFlopParams:
     temperature_k: float
 
     def __post_init__(self):
-        if self.beta_ff < 0 or self.density_cm3 < 0:
-            raise ValidationError("coupling and density must be non-negative")
-        if self.gamma_inh_khz < 0 or self.gamma_h_khz < 0:
-            raise ValidationError("linewidths must be non-negative")
-        _check_positive("temperature", self.temperature_k)
+        check_non_negative("coupling and density", self.beta_ff, self.density_cm3)
+        check_non_negative("linewidths", self.gamma_inh_khz, self.gamma_h_khz)
+        check_finite("delta_e_ghz", self.delta_e_ghz)
+        check_positive("temperature", self.temperature_k)
 
 
 def flipflop_rate(p: FlipFlopParams) -> float:
     """beta n^2 / (Gamma_h + Gamma_inh) * sech^2(dE / 2 kT), in s^-1."""
     gamma_hz = (p.gamma_h_khz + p.gamma_inh_khz) * 1e3
-    if gamma_hz <= 0:
+    if gamma_hz == 0:   # both widths are checked non-negative and finite
         raise DomainError("total linewidth must be positive")
     thermal = thermal_occupation_factor(p.delta_e_ghz, p.temperature_k)
     return p.beta_ff * p.density_cm3**2 / gamma_hz * thermal
@@ -133,8 +123,8 @@ class SlrParams:
     a2_hz_k9: float
 
     def __post_init__(self):
-        if min(self.r0_hz, self.a1_hz_k2, self.a2_hz_k9) < 0:
-            raise ValidationError("rate coefficients must be non-negative")
+        check_non_negative("rate coefficients", self.r0_hz, self.a1_hz_k2,
+                           self.a2_hz_k9)
 
 
 # Fitted recovery parameters of the two upper ground level groups.
@@ -143,14 +133,14 @@ SLR_UPPER = SlrParams(0.2e-4, 9e-4, 0.25e-4)
 
 
 def slr_rate(temperature_k: float, p: SlrParams) -> float:
-    _check_positive("temperature", temperature_k)
+    check_positive("temperature", temperature_k)
     t = temperature_k
     return p.r0_hz + p.a1_hz_k2 * t**2 + p.a2_hz_k9 * t**9
 
 
 def slr_crossover_temperature(p: SlrParams) -> float:
     """Temperature where the T^2 and T^9 terms are equal."""
-    if p.a1_hz_k2 <= 0 or p.a2_hz_k9 <= 0:
+    if p.a1_hz_k2 == 0 or p.a2_hz_k9 == 0:   # SlrParams: both finite, >= 0
         raise DomainError("crossover needs both power-law terms")
     return (p.a1_hz_k2 / p.a2_hz_k9) ** (1.0 / 7.0)
 
@@ -158,7 +148,7 @@ def slr_crossover_temperature(p: SlrParams) -> float:
 def boltzmann_populations(energies_ghz, temperature_k: float,
                           degeneracies=None) -> np.ndarray:
     """Normalized thermal weights g_i exp(-E_i h / kB T)."""
-    _check_positive("temperature", temperature_k)
+    check_positive("temperature", temperature_k)
     e = np.asarray(energies_ghz, dtype=float)
     g = np.ones_like(e) if degeneracies is None else np.asarray(degeneracies, float)
     x = -(e - e.min()) * CONSTANTS.h_over_kb_k_per_ghz / temperature_k
@@ -232,13 +222,12 @@ class PumpConfig:
     temperature_k: float = 0.05
 
     def __post_init__(self):
-        _check_positive("duration", self.duration_s)
-        _check_positive("temperature", self.temperature_k)
+        check_positive("duration", self.duration_s)
+        check_positive("temperature", self.temperature_k)
         for (g_level, e_level), rate in self.transitions:
             if not (1 <= g_level <= 4 and 1 <= e_level <= 4):
                 raise ValidationError("pumped transition indices must be 1..4")
-            if rate < 0:
-                raise ValidationError("pump rates must be non-negative")
+            check_non_negative("pump rate", rate)
 
 
 def _pump_rate_matrix(config: PumpConfig, params: SpinSystemParams) -> np.ndarray:
@@ -255,7 +244,7 @@ def _pump_rate_matrix(config: PumpConfig, params: SpinSystemParams) -> np.ndarra
     decay = 1.0 / params.t1_optical_s
     w = config.branching.weights
     totals = w.sum(axis=0)
-    if np.any(totals <= 0):
+    if not np.all(totals > 0):
         raise ValidationError("branching table leaves an excited level "
                               "with no decay path")
     m[:4, 4:] = _into_ground_levels(decay * (w / totals), EXCITED_LEVEL_GROUP)
@@ -329,7 +318,7 @@ def _integrate_linear(matrix, y0, duration):
             h *= min(5.0, 0.9 * err ** -0.2 if err > 0 else 5.0)
         else:
             h *= max(0.1, 0.9 * err ** -0.25)
-        if h < floor:
+        if not h >= floor:   # a NaN step fails too
             raise NumericalError("step size underflow in the rate-equation solver")
     return np.array(times), np.array(states)
 
@@ -347,7 +336,7 @@ def pump_simulation(config: PumpConfig, params: SpinSystemParams,
         y0 = equilibrium_populations(params, config.temperature_k)
     else:
         y0 = np.asarray(initial, dtype=float)
-        if y0.shape != (8,) or abs(y0.sum() - 1.0) > 1e-9 or np.any(y0 < 0):
+        if y0.shape != (8,) or not (abs(y0.sum() - 1.0) <= 1e-9 and y0.min() >= 0):
             raise ValidationError("initial populations must be 8 non-negative "
                                   "values summing to 1")
     times, states = _integrate_linear(matrix, y0, config.duration_s)
@@ -393,21 +382,17 @@ class RateBudget:
         return "\n".join(lines)
 
 
-def coherence_budget_optical(t1_s: float, flipflop: dict | None = None,
-                             slr: dict | None = None) -> RateBudget:
-    """pi Gamma_h = 1/(2 T1) + sum(R_ff)/2 + sum(R_slr)/2 for the optical line.
+def coherence_budget_optical(t1_s: float, flipflop: dict | None = None) -> RateBudget:
+    """pi Gamma_h = 1/(2 T1) + sum(R_ff)/2 for the optical line.
 
-    The rate maps list population-decay channels out of the ground level of
+    The rate map lists population-decay channels out of the ground level of
     the optical transition; with no spin channels T2 = 2 T1 exactly.
     """
-    if t1_s <= 0:
-        raise ValidationError("optical lifetime must be positive")
+    check_positive("t1_s", t1_s)
     flipflop = flipflop or {}
-    slr = slr or {}
-    pi_gamma = 1.0 / (2.0 * t1_s) + 0.5 * sum(flipflop.values()) + 0.5 * sum(slr.values())
+    pi_gamma = 1.0 / (2.0 * t1_s) + 0.5 * sum(flipflop.values())
     channels = {"optical_decay": 1.0 / t1_s}
     channels.update({f"flipflop_{k}": v for k, v in flipflop.items()})
-    channels.update({f"slr_{k}": v for k, v in slr.items()})
     return RateBudget(channels, pi_gamma / math.pi, 1.0 / pi_gamma)
 
 
@@ -436,15 +421,18 @@ def coherence_budget_spin(flipflop: dict | None = None, slr: dict | None = None,
 
 def spin_flipflop_from_t2(t2_s: float) -> float:
     """Invert the polarized spin budget: R_ff(clock) = 2 / T2."""
-    if t2_s <= 0:
-        raise ValidationError("coherence time must be positive")
+    check_positive("t2_s", t2_s)
     return 2.0 / t2_s
 
 
 def optical_flipflop_from_t2(t2_s: float, t1_s: float) -> float:
-    """Invert the optical budget: total spin decay rate 2 (1/T2 - 1/(2 T1))."""
-    if t2_s <= 0 or t1_s <= 0:
-        raise ValidationError("times must be positive")
+    """Invert the optical budget below the radiative limit T2 <= 2 T1: total
+    spin decay rate 2 (1/T2 - 1/(2 T1)) >= 0."""
+    check_positive("t2_s", t2_s)
+    check_positive("t1_s", t1_s)
+    if not t2_s <= 2.0 * t1_s:
+        raise ValidationError(f"t2_s must not exceed the radiative limit "
+                              f"2 t1_s = {2.0 * t1_s:g} s")
     return 2.0 * (1.0 / t2_s - 1.0 / (2.0 * t1_s))
 
 

@@ -379,8 +379,6 @@ class FieldSweepFitSpec:
     amplitude_171: float = 1.0
     amplitude_i0: float = 1.0
     offset_ghz: float = 0.0
-    fwhm_171_mhz: float = spectra.SWEEP_FWHM_171_MHZ
-    fwhm_i0_mhz: float = spectra.SWEEP_FWHM_I0_MHZ
 
 
 # Lines x grid cells per Gaussian pass of the sweep model (at least one
@@ -457,20 +455,20 @@ def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
     return centres, slopes
 
 
-def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
-                 p_vector, jacobian: bool = False) -> np.ndarray:
+def _sweep_model(sweeps, params: SpinSystemParams, p_vector,
+                 jacobian: bool = False) -> np.ndarray:
     """Stacked model spectra of all sweeps, or their exact Jacobian.
 
-    Every line has unit area; the sixteen 171Yb lines share the weight
-    amplitude_171 and the four I = 0 lines amplitude_i0 / 4.  The spin
-    Hamiltonian drops the nuclear Zeeman term, the convention used when
-    fitting field sweeps.  With jacobian=True the result is the
-    (n_points, n_params) Jacobian: the amplitude and offset columns come
-    from the same Gaussian block as the model, and the g and scale columns
-    are the centre derivatives of _sweep_lines chained through d/dcentre.
-    Every sweep's lines come from one _sweep_lines call.  The output is
-    allocated once and filled in passes of at most _BLOCK_CELLS line-grid
-    cells (one current at least).
+    Every line has unit area and its isotope's FWHM spectra.SWEEP_FWHM_*;
+    the 16 171Yb lines share amplitude_171, the four I = 0 lines
+    amplitude_i0 / 4.  The spin Hamiltonian drops the nuclear Zeeman term,
+    the convention used when fitting field sweeps.  With jacobian=True the
+    result is the (n_points, n_params) Jacobian: the amplitude and offset
+    columns come from the same Gaussian block as the model, and the g and
+    scale columns are the centre derivatives of _sweep_lines chained
+    through d/dcentre.  Every sweep's lines come from one _sweep_lines
+    call.  The output is allocated once and filled in passes of at most
+    _BLOCK_CELLS line-grid cells (one current at least).
     """
     n_sweeps = len(sweeps)
     params = replace(params, g_excited=g_tensor(p_vector[0], p_vector[1]), g_n=0.0)
@@ -478,7 +476,8 @@ def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
     amplitudes = p_vector[2 + n_sweeps:4 + n_sweeps]
     offset = p_vector[4 + n_sweeps]
     i_amp, i_offset = 2 + n_sweeps, 4 + n_sweeps
-    fwhm = np.repeat([spec.fwhm_171_mhz * 1e-3, spec.fwhm_i0_mhz * 1e-3], [16, 4])
+    fwhm = np.repeat([spectra.SWEEP_FWHM_171_MHZ * 1e-3,
+                      spectra.SWEEP_FWHM_I0_MHZ * 1e-3], [16, 4])
     inv = 4.0 * math.log(2.0) / (fwhm * fwhm)
     area = 2.0 / fwhm * math.sqrt(math.log(2.0) / math.pi)
     # per-line weight of each amplitude: unit-area Gaussians, I = 0 split 4 ways
@@ -520,19 +519,16 @@ def _sweep_model(sweeps, params: SpinSystemParams, spec: FieldSweepFitSpec,
 
 
 def simulate_current_sweep(params: SpinSystemParams, axis, currents_a,
-                           scale_g_per_a: float, grid,
-                           spec: FieldSweepFitSpec | None = None,
-                           amplitude_171: float = 1.0, amplitude_i0: float = 1.0,
-                           offset_ghz: float = 0.0) -> SweepData:
-    """Forward model of a current sweep with the given true parameters."""
-    spec = spec or FieldSweepFitSpec()
+                           scale_g_per_a: float, grid) -> SweepData:
+    """Forward model of a current sweep with the given true parameters, unit
+    isotope amplitudes and no frequency offset."""
     axis = spectra._unit_axis(axis)
     currents = np.asarray(currents_a, dtype=float)
     x = spectra._grid_points(grid)
     sweep = SweepData(currents, axis, x, np.zeros((currents.size, x.size)))
     p_vector = np.array([params.g_excited.parallel, params.g_excited.perpendicular,
-                         scale_g_per_a, amplitude_171, amplitude_i0, offset_ghz])
-    prediction = _sweep_model([sweep], params, spec, p_vector)
+                         scale_g_per_a, 1.0, 1.0, 0.0])
+    prediction = _sweep_model([sweep], params, p_vector)
     return SweepData(currents, axis, x,
                      prediction.reshape(currents.size, x.size))
 
@@ -564,7 +560,7 @@ def fit_field_sweep(sweeps, spec: FieldSweepFitSpec,
              + [f"scale_{k}" for k in range(len(sweeps))]
              + ["amplitude_171", "amplitude_i0", "offset_ghz"])
     return least_squares(
-        lambda p: _sweep_model(sweeps, params, spec, p), data, initial,
-        jacobian=lambda p: _sweep_model(sweeps, params, spec, p, jacobian=True),
+        lambda p: _sweep_model(sweeps, params, p), data, initial,
+        jacobian=lambda p: _sweep_model(sweeps, params, p, jacobian=True),
         names=tuple(names), tol=1e-12)
 

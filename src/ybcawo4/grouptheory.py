@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import (DomainError, NumericalError, ValidationError, check_finite,
+                     check_non_negative)
 from .params import EXCITED_GROUPS, GROUND_GROUPS
 
 PI, SIGMA, ALPHA = "pi", "sigma", "alpha"
@@ -317,21 +318,20 @@ OBSERVED_POLARIZATIONS = {
 }
 
 
-def ed_predicted_unobserved(table: SelectionRuleTable,
-                            observed=None) -> list[tuple[str, str, str]]:
+def ed_predicted_unobserved(table: SelectionRuleTable) -> list[tuple[str, str, str]]:
     """ED-allowed polarizations that do not appear in the observed spectra."""
-    observed = OBSERVED_POLARIZATIONS if observed is None else observed
     missing = []
     for g, e, (ed, _) in table.rows():
-        for pol in sorted(ed - observed[(g, e)]):
+        for pol in sorted(ed - OBSERVED_POLARIZATIONS[(g, e)]):
             missing.append((g, e, pol))
     return missing
 
 
 # --- g factors of Kramers doublets -------------------------------------
 
-def lande_g(j: float, l: int = 3, s: float = 0.5) -> float:
-    return 1.0 + (j * (j + 1) + s * (s + 1) - l * (l + 1)) / (2 * j * (j + 1))
+def lande_g(j: float) -> float:
+    """Lande g of the 4f13 level j: L = 3, S = 1/2, so S(S+1) - L(L+1) = 0.75 - 12."""
+    return 1.0 + (j * (j + 1) + 0.75 - 12) / (2 * j * (j + 1))
 
 
 G_52 = lande_g(2.5)   # 6/7
@@ -375,7 +375,7 @@ class DoubletCoefficients:
 
     def __post_init__(self):
         norm = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValidationError(f"coefficients must be normalized, |.|^2 = {norm}")
         _check_j(self.j)
         object.__setattr__(self, "family", _doublet_family(self.family))
@@ -450,20 +450,19 @@ def g_consistency_relation(j: float, family: str, order: str, g_parallel: float)
     family = _doublet_family(family)
     if order not in ("upper", "lower"):
         raise ValidationError("order must be 'upper' or 'lower'")
+    check_finite("g_parallel", g_parallel)
     s = 1.0 if order == "upper" else -1.0
+    if family == "G78":
+        return abs(s * g_parallel - 7 * G_72) / 2.0 if j == 3.5 else 3.0 * G_52
     if j == 3.5:
-        if family == "G56":
-            rhs = -3 * g_parallel**2 + s * 6 * G_72 * g_parallel + 45 * G_72**2
-            if rhs < 0:
-                raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
-            return math.sqrt(rhs) / 2.0
-        return abs(s * g_parallel - 7 * G_72) / 2.0
-    if family == "G56":
+        rhs = -3 * g_parallel**2 + s * 6 * G_72 * g_parallel + 45 * G_72**2
+        scale = 2.0
+    else:
         rhs = -5 * g_parallel**2 + s * 10 * G_52 * g_parallel + 75 * G_52**2
-        if rhs < 0:
-            raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
-        return math.sqrt(rhs) / 4.0
-    return 3.0 * G_52
+        scale = 4.0
+    if not rhs >= 0:
+        raise DomainError(f"no real g_perp for g_parallel = {g_parallel}")
+    return math.sqrt(rhs) / scale
 
 
 # Newton steps per start, and the largest equation residual that counts as
@@ -558,14 +557,12 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
     the rule a >= 0, then b >= 0.  Raises NumericalError when no start
     converges.
     """
-    if not (math.isfinite(target_g_parallel) and math.isfinite(target_g_perpendicular)):
-        raise ValidationError("targets must be finite")
+    check_finite("targets", target_g_parallel, target_g_perpendicular)
     t_par, t_perp = target_g_parallel, abs(target_g_perpendicular)
     if mixing_ratio is None:
         v, residual = _least_mixed_solutions(t_par, t_perp)
-    elif not (math.isfinite(mixing_ratio) and mixing_ratio >= 0):
-        raise ValidationError("mixing_ratio must be finite and non-negative")
     else:
+        check_non_negative("mixing_ratio", mixing_ratio)
         v, residual = _pinned_solutions(t_par, t_perp, mixing_ratio)
     solved = residual <= _JMIX_TOL
     if not solved.any():

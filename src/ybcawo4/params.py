@@ -7,11 +7,10 @@ magnetic-field-sweep fits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_finite, check_positive
 
 
 class Manifold(Enum):
@@ -47,8 +46,7 @@ class UniaxialTensor:
     unit: str = "dimensionless"
 
     def __post_init__(self):
-        if not (math.isfinite(self.parallel) and math.isfinite(self.perpendicular)):
-            raise ValidationError("tensor components must be finite")
+        check_finite("tensor components", self.parallel, self.perpendicular)
         if self.unit not in ("dimensionless", "GHz"):
             raise ValidationError(f"unknown tensor unit {self.unit!r}")
 
@@ -81,12 +79,12 @@ class SpinSystemParams:
         if not 0.0 < self.concentration_ppm < 1e6:
             raise ValidationError(
                 f"concentration_ppm must lie in (0, 1e6), got {self.concentration_ppm}")
-        if self.t1_optical_s <= 0.0:
-            raise ValidationError("t1_optical_s must be positive")
-        if self.fwhm_optical_mhz <= 0.0 or self.fwhm_spin_khz <= 0.0:
-            raise ValidationError("linewidths must be positive")
-        if self.sites_per_cell < 1:
-            raise ValidationError("sites_per_cell must be >= 1")
+        check_finite("g_n", self.g_n)
+        check_positive("t1_optical_s", self.t1_optical_s)
+        check_positive("fwhm_optical_mhz", self.fwhm_optical_mhz)
+        check_positive("fwhm_spin_khz", self.fwhm_spin_khz)
+        check_positive("unit_cell_volume_nm3", self.unit_cell_volume_nm3)
+        check_count("sites_per_cell", self.sites_per_cell, 1)
         if self.a_ground.unit != "GHz" or self.a_excited.unit != "GHz":
             raise ValidationError("hyperfine tensors must carry the GHz unit tag")
 

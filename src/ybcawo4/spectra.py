@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _kernels, spinham
 from .constants import CONSTANTS
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, check_count, check_finite,
+                     check_non_negative, check_positive)
 from .params import (EXCITED_LEVEL_GROUP, GROUND_LEVEL_GROUP, Manifold,
                      SpinSystemParams)
 
@@ -42,7 +43,7 @@ class BranchingTable:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (3, 3):
             raise ValidationError("branching table must be 3x3")
-        if np.any(w < 0) or np.any(w > 1):
+        if not np.all((w >= 0) & (w <= 1)):
             raise ValidationError("branching weights must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
 
@@ -83,8 +84,7 @@ class TransitionLine:
     isotope: str = "171Yb"
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValidationError("line weight must be non-negative")
+        check_non_negative("line weight", self.weight)
         upper = 4 if self.isotope == "171Yb" else 2
         if not (1 <= self.ground_index <= upper and 1 <= self.excited_index <= upper):
             raise ValidationError("level index out of range")
@@ -98,16 +98,11 @@ class Spectrum:
     absorption: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.detuning_ghz, dtype=float)
+        x = _grid_points(np.asarray(self.detuning_ghz, dtype=float))
         y = np.asarray(self.absorption, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
+        if x.shape != y.shape:
             raise ValidationError("grid and absorption must be 1-d arrays of one length")
-        if x.size < 2:
-            raise ValidationError("spectrum needs at least two grid points")
-        steps = np.diff(x)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValidationError("detuning grid must be uniform and increasing")
-        if np.any(y < -1e-12):
+        if not np.all(y >= -1e-12):
             raise ValidationError("absorption must be non-negative")
         object.__setattr__(self, "detuning_ghz", x)
         object.__setattr__(self, "absorption", y)
@@ -274,8 +269,6 @@ def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
     """
     table = _branching_table(weights)
     b = np.asarray(b_mt, dtype=float)
-    if b.shape != (3,):
-        raise ValidationError("magnetic field must be a 3-vector")
     centres, _ = optical_lines(params, b[None], zero_spin_offset_ghz)
     line_weights = _line_weights(params, table, b[None], zero_spin_fraction)
     pol = table.polarization if table is not None else None
@@ -289,15 +282,24 @@ def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
 
 
 def _grid_points(grid) -> np.ndarray:
-    """Detuning grid from (min_ghz, max_ghz, points) or an explicit array."""
+    """Detuning grid from (min_ghz, max_ghz, points) or an explicit array;
+    the one grid check (Spectrum and field_sweep_map share it): at least two
+    finite, uniform, strictly increasing points, bounds checked before use."""
     if isinstance(grid, tuple) and len(grid) == 3:
         lo, hi, n = grid
-        if n < 2 or not hi > lo:
-            raise ValidationError("grid must span a positive range with >= 2 points")
+        check_finite("grid bounds", lo, hi)
+        check_count("grid points", n, 2)
+        if not hi > lo:
+            raise ValidationError("grid must span a positive range")
         return np.linspace(lo, hi, int(n))
     x = np.asarray(grid, dtype=float)
-    if x.size < 2:
-        raise ValidationError("grid must have at least two points")
+    if x.ndim != 1:
+        raise ValidationError("grid must be a 1-d array")
+    check_count("grid points", x.size, 2)
+    steps = np.diff(x)
+    if not (np.isfinite(x).all() and np.all(steps > 0)
+            and np.allclose(steps, steps[0], rtol=1e-9)):
+        raise ValidationError("detuning grid must be finite, uniform and increasing")
     return x
 
 
@@ -306,8 +308,7 @@ def synthesize_spectrum(lines, fwhm_mhz: float, grid) -> Spectrum:
 
     grid: (min_ghz, max_ghz, points) or an explicit uniform array.
     """
-    if fwhm_mhz <= 0:
-        raise ValidationError("fwhm must be positive")
+    check_positive("fwhm_mhz", fwhm_mhz)
     x = _grid_points(grid)
     centers = np.array([ln.detuning_ghz for ln in lines], dtype=float)
     weights = np.array([ln.weight for ln in lines], dtype=float)
@@ -374,13 +375,9 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
     fields = np.asarray(field_values_mt, dtype=float)
     if fields.size < 2:
         raise ValidationError("a sweep needs at least two field values")
-    if fwhm_171_mhz <= 0 or fwhm_i0_mhz <= 0:
-        raise ValidationError("fwhm must be positive")
+    check_positive("fwhm_171_mhz", fwhm_171_mhz)
+    check_positive("fwhm_i0_mhz", fwhm_i0_mhz)
     x = _grid_points(grid)
-    steps = np.diff(x)
-    if (x.ndim != 1 or np.any(steps <= 0)
-            or not np.allclose(steps, steps[0], rtol=1e-9)):
-        raise ValidationError("detuning grid must be uniform and increasing")
     table = _branching_table(weights)
 
     b_vecs = fields[:, None] * axis[None, :]
@@ -499,18 +496,13 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
     """
     lo, hi = float(b_range_mt[0]), float(b_range_mt[1])
     nu = float(microwave_freq_ghz)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValidationError("field range must be finite")
-    if not (hi > lo >= 0.0):
+    check_finite("field range", lo, hi)
+    if not hi > lo >= 0.0:
         raise ValidationError("field range must satisfy 0 <= low < high")
-    if not np.isfinite(nu):
-        raise ValidationError("microwave frequency must be finite")
-    if nu <= 0:
-        raise ValidationError("microwave frequency must be positive")
-    if not (np.isfinite(theta_deg) and np.isfinite(phi_deg)):
-        raise ValidationError("field angles must be finite")
-    if not (np.isfinite(tol_mt) and tol_mt > 0):
-        raise ValidationError("tol_mt must be positive and finite")
+    check_finite("microwave frequency", nu)
+    check_positive("microwave frequency", nu)
+    check_finite("field angles", theta_deg, phi_deg)
+    check_positive("tol_mt", tol_mt)
     direction = _direction_from_angles(theta_deg, phi_deg)
     h0 = spinham.zeeman_operators(params, manifold)[0]
     h1 = spinham.field_derivative_operator(params, manifold, direction) * 1e-3

@@ -262,7 +262,7 @@ def first_order_sensitivity(state, direction, params: SpinSystemParams,
                             manifold: Manifold) -> float:
     """<i| dH/dB |i> along a unit direction, in MHz/mT."""
     v = np.asarray(state, dtype=complex)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
         raise ValidationError("state must be normalized")
     op = field_derivative_operator(params, manifold, direction)
     return float(np.real(v.conj() @ op @ v))

@@ -1,7 +1,11 @@
+import argparse
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +440,50 @@ class TestMalformedOptionValues:
         assert err.startswith(("error", "numerical failure")) and name in err
         assert "Traceback" not in err
 
+    # Inputs that used to hang, raise ZeroDivisionError or exit 0 with NaN
+    # in their outputs; each now exits 1 promptly with its input named.
+    DOMAIN_CASES = [
+        (["--set", "system.T1_optical_s=nan", "pump"], "system.T1_optical_s"),
+        (["--set", "system.T1_optical_s=inf", "budget", "--mode", "optical"],
+         "system.T1_optical_s"),
+        (["budget", "--mode", "optical", "--t2", "inf"], "t2"),
+        (["budget", "--mode", "optical", "--t2", "0.001"], "radiative limit"),
+        (["--set", "system.unit_cell_volume_nm3=0", "dynamics"],
+         "system.unit_cell_volume_nm3"),
+        (["--set", "system.unit_cell_volume_nm3=-1", "dynamics"],
+         "system.unit_cell_volume_nm3"),
+        (["--set", "system.fwhm_optical_MHz=nan", "spectrum"],
+         "system.fwhm_optical_MHz"),
+        (["--set", "system.fwhm_spin_kHz=nan", "dynamics"], "system.fwhm_spin_kHz"),
+        (["sweep", "--steps", "3", "--fwhm-171-mhz", "nan"], "fwhm_171_mhz"),
+        (["budget", "--t2", "nan"], "t2"),
+        (["gfactor", "--consistency", "nan"], "g_parallel"),
+        (["spectrum", "--grid", "0,inf,100"], "grid"),
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,name", DOMAIN_CASES,
+                             ids=[" ".join(c[0]) for c in DOMAIN_CASES])
+    def test_out_of_domain_input_exits_1_by_name(self, tmp_path, capsys, argv, name):
+        started = time.perf_counter()
+        assert _fuzz_run(tmp_path / "bad", argv, seconds=5) == 1
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        command = next(a for a in argv if a in cli._SUBCOMMANDS)
+        assert err.startswith(f"error ({command}): ") and name in err
+
+    def test_set_range_error_names_the_key(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "--set", "system.concentration_ppm=nan",
+                       "levels") == 1
+        assert capsys.readouterr().err == (
+            "error (levels): system.concentration_ppm: concentration_ppm must "
+            "lie in (0, 1e6), got nan\n")
+
+    def test_set_tensor_error_names_the_key(self):
+        with pytest.raises(ValidationError,
+                           match="^excited.g_perp: tensor components must be finite$"):
+            cli.parse_config(overrides=["excited.g_perp=inf"])
+
     def test_missing_data_file_is_a_named_error(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path / "fit", "fit", "--model", "sweep",
                        "--data", tmp_path / "missing.csv", "--axis", "a") == 1
@@ -583,3 +631,127 @@ class TestFitSubcommand:
         assert err == ("numerical failure (fit): fit did not converge (singular "
                        "jacobian; g_e_parallel unidentifiable)\n")
         assert not (out / "fit.csv").exists()
+
+
+# --- fuzz: every numeric input at the edges of its domain -------------------
+
+# Small sizes for every command, so that no case allocates much; a fuzzed
+# option given after these overrides them.
+_FUZZ_BASE = {
+    "levels": [], "spectrum": ["--grid=-3,4,101"],
+    "sweep": ["--steps", "3", "--grid=-4.5,5,60"], "epr": [],
+    "rosette": ["--angle-steps", "3"], "rules": [],
+    "gfactor": ["--consistency", "1"], "dynamics": ["--steps", "3"],
+    "budget": [], "pump": ["--duration", "0.01", "--max-rows", "5"],
+}
+# Comma-list options and a valid value of each; one entry at a time is fuzzed.
+_FUZZ_LISTS = {
+    ("levels", "--field"): "0,0,0", ("spectrum", "--field"): "0,0,0",
+    ("spectrum", "--grid"): "-3,4,101", ("sweep", "--grid"): "-4.5,5,60",
+    ("sweep", "--axis"): "1,0,0", ("gfactor", "--coeffs"): "0.7,0.714",
+    ("gfactor", "--jmix-targets"): "-1.446,1.293",
+}
+# Options whose error names the quantity they set rather than the option.
+_FUZZ_QUANTITY = {"--freq-ghz": "frequency", "--theta": "angles",
+                  "--phi": "angles", "--b-min": "field range",
+                  "--b-max": "field range", "--t-min": "temperature grid",
+                  "--t-max": "temperature grid"}
+_FUZZ_FLOATS = ("0", "-1", "1", "nan", "inf", "-inf")
+_FUZZ_COUNTS = ("0", "-1", "1")
+_FUZZ_SECONDS = 10
+_NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+
+
+def _fuzz_option_cases():
+    """(argv, names): every numeric option of every subcommand but fit, at
+    each edge value; an exit-1 error must contain one of the names."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, base in _FUZZ_BASE.items():
+        variants = [[command]]
+        if command == "budget":
+            variants.append([command, "--mode", "optical"])
+        for action in subparsers.choices[command]._actions:
+            option = action.option_strings[-1] if action.option_strings else None
+            if action.type not in (int, float) and (command, option) not in _FUZZ_LISTS:
+                continue
+            names = (option, option[2:], action.dest,
+                     str(action.metavar or option).lower(),
+                     _FUZZ_QUANTITY.get(option, option))
+            if action.type is int:
+                values = _FUZZ_COUNTS
+            elif action.type is float:
+                values = _FUZZ_FLOATS
+            else:
+                valid = _FUZZ_LISTS[(command, option)].split(",")
+                values = [",".join(valid[:k] + [v] + valid[k + 1:])
+                          for k in range(len(valid)) for v in _FUZZ_FLOATS]
+            cases += [(variant + base + [f"{option}={value}"], names)
+                      for variant in variants for value in values]
+    return cases
+
+
+def _fuzz_set_cases():
+    cases = []
+    for key in sorted(cli._CONFIG_KEYS):
+        section, name = key.split(".")
+        names = (key, f"{section} hyperfine tensor") if "A_" in name else (key,)
+        probes = list(_KEY_PROBES)
+        if key == "system.T1_optical_s":
+            probes.append(["pump"] + _FUZZ_BASE["pump"])
+        for value in ("0", "-1", "nan", "inf"):
+            cases.append(([["--set", f"{key}={value}", *argv] for argv in probes],
+                          names))
+    return cases
+
+
+def _fuzz_run(out, argv, seconds=_FUZZ_SECONDS):
+    """Exit code of one in-process CLI call, bounded by an alarm; an
+    exception that escapes main fails the test with its traceback."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} ran over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return cli.main(["--out", str(out), *argv])
+    except SystemExit as exit_info:    # argparse rejects a value with 2
+        return exit_info.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _check_fuzz_outcome(out, argv, names, capsys):
+    code = _fuzz_run(out, argv)
+    stdout, stderr = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert not _NAN.search(stdout), (argv, stdout)
+        for path in out.iterdir():
+            assert not _NAN.search(path.read_text()), (argv, path.name)
+    elif code == 1:
+        assert any(name in stderr for name in names), (argv, stderr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFuzz:
+    """Every numeric input at 0, -1, 1, nan and +-inf (counts at 0, -1 and
+    1): each call exits 0, 1 or 2 promptly without a traceback or a numpy
+    warning; an exit-0 call writes no nan, and an exit-1 call names its
+    option or --set key."""
+
+    OPTION_CASES = _fuzz_option_cases()
+    SET_CASES = _fuzz_set_cases()
+
+    @pytest.mark.parametrize("argv,names", OPTION_CASES,
+                             ids=[" ".join(c[0]) for c in OPTION_CASES])
+    def test_option(self, tmp_path, capsys, argv, names):
+        _check_fuzz_outcome(tmp_path, argv, names, capsys)
+
+    @pytest.mark.parametrize("runs,names", SET_CASES,
+                             ids=[" ".join(c[0][0][:2]) for c in SET_CASES])
+    def test_set_key(self, tmp_path, capsys, runs, names):
+        for k, argv in enumerate(runs):
+            _check_fuzz_outcome(tmp_path / str(k), argv, names, capsys)

@@ -400,6 +400,21 @@ class TestCoherenceBudgets:
             recovered = dyn.optical_flipflop_from_t2(budget.t2_s, 0.385e-3)
             assert recovered == pytest.approx(sum(rates.values()), rel=1e-9, abs=1e-9)
 
+    def test_optical_inversion_stops_at_the_radiative_limit(self):
+        t1 = 0.385e-3
+        assert dyn.optical_flipflop_from_t2(2 * t1, t1) == 0.0
+        assert dyn.optical_flipflop_from_t2(0.75e-3, t1) > 0.0
+        for t2 in (2 * t1 * (1 + 1e-12), 1e-3, math.inf):
+            with pytest.raises(ValidationError, match="t2_s"):
+                dyn.optical_flipflop_from_t2(t2, t1)
+
+    @pytest.mark.parametrize("t2", [0.0, -1.0, math.nan])
+    def test_inversions_reject_a_non_positive_t2(self, t2):
+        with pytest.raises(ValidationError, match="t2_s must be positive"):
+            dyn.spin_flipflop_from_t2(t2)
+        with pytest.raises(ValidationError, match="t2_s must be positive"):
+            dyn.optical_flipflop_from_t2(t2, 0.385e-3)
+
     def test_spin_budget_lower_bound(self):
         rate = dyn.spin_flipflop_from_t2(0.15)
         assert rate == pytest.approx(13.3, abs=0.1)

@@ -354,10 +354,10 @@ class TestRoundTripIdentifiability:
 
 # --- batched sweep model against the per-current reference -----------------
 
-def _reference_sweep_prediction(sweeps, params, spec, p_vector):
+def _reference_sweep_prediction(sweeps, params, p_vector):
     """The sweep model as one eigvalsh and two Gaussian calls per current:
     the loop the batched ft._sweep_model replaced, kept as its reference."""
-    from ybcawo4 import _kernels, spinham
+    from ybcawo4 import _kernels, spectra, spinham
     from ybcawo4.constants import CONSTANTS
 
     n_sweeps = len(sweeps)
@@ -386,10 +386,10 @@ def _reference_sweep_prediction(sweeps, params, spec, p_vector):
                                    for se in (-split_e, split_e)])
             y = _kernels.gaussian_profile(sweep.detuning_ghz, detunings,
                                           np.full(16, amp171),
-                                          spec.fwhm_171_mhz * 1e-3)
+                                          spectra.SWEEP_FWHM_171_MHZ * 1e-3)
             y = y + _kernels.gaussian_profile(sweep.detuning_ghz, i0_centers,
                                               np.full(4, amp_i0 / 4.0),
-                                              spec.fwhm_i0_mhz * 1e-3)
+                                              spectra.SWEEP_FWHM_I0_MHZ * 1e-3)
             blocks.append(y)
     return np.concatenate(blocks)
 
@@ -432,7 +432,6 @@ def _reference_sweep_centres(sweeps, params, scales):
 
 
 class TestBatchedSweepModel:
-    SPEC = ft.FieldSweepFitSpec()
     PARAMS = default_params("field-sweep-fit")
 
     @pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
@@ -440,8 +439,8 @@ class TestBatchedSweepModel:
         sweeps = [_blank_sweep(SWEEP_AXES[axis], np.linspace(0.5, 10.0, 13),
                                (-4.5, 5.0, 600))]
         p = _sweep_p_vector(1)
-        reference = _reference_sweep_prediction(sweeps, self.PARAMS, self.SPEC, p)
-        batched = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
+        reference = _reference_sweep_prediction(sweeps, self.PARAMS, p)
+        batched = ft._sweep_model(sweeps, self.PARAMS, p)
         # summation order and eigh vs eigvalsh differ in the last bits only
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(reference)
 
@@ -461,15 +460,15 @@ class TestBatchedSweepModel:
         sweeps = [_blank_sweep(SWEEP_AXES[name], currents)
                   for name in ("a", "c", "oblique")]
         p = _sweep_p_vector(3)
-        jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
         assert jac.shape == (sum(s.absorption.size for s in sweeps), p.size)
 
         def central(k, h):
             up, down = p.copy(), p.copy()
             up[k] += h
             down[k] -= h
-            return (ft._sweep_model(sweeps, self.PARAMS, self.SPEC, up)
-                    - ft._sweep_model(sweeps, self.PARAMS, self.SPEC, down)) / (2 * h)
+            return (ft._sweep_model(sweeps, self.PARAMS, up)
+                    - ft._sweep_model(sweeps, self.PARAMS, down)) / (2 * h)
 
         for k in range(p.size):
             h = 1e-4 * max(abs(p[k]), 1e-2)
@@ -489,11 +488,11 @@ class TestBatchedSweepModel:
     def test_block_size_does_not_change_results(self, monkeypatch):
         sweeps = [_blank_sweep(SWEEP_AXES["oblique"], np.linspace(0.5, 10.0, 9))]
         p = _sweep_p_vector(1)
-        one = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
-        one_jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        one = ft._sweep_model(sweeps, self.PARAMS, p)
+        one_jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
         monkeypatch.setattr(ft, "_BLOCK_CELLS", 4 * 20 * 240)
-        many = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p)
-        many_jac = ft._sweep_model(sweeps, self.PARAMS, self.SPEC, p, jacobian=True)
+        many = ft._sweep_model(sweeps, self.PARAMS, p)
+        many_jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
         assert np.allclose(many, one, rtol=0, atol=1e-13 * np.max(one))
         assert np.allclose(many_jac, one_jac, rtol=0,
                            atol=1e-13 * np.max(np.abs(one_jac)))
