@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, csvio, dynamics, fitting, grouptheory, spectra, spinham
 from .errors import (DomainError, NumericalError, ValidationError, check_count,
-                     check_finite)
+                     check_finite, check_positive)
 from .params import (GROUND_GROUPS, Manifold, PRESET_NAMES, SpinSystemParams,
                      a_tensor, default_params, g_tensor)
 
@@ -422,6 +422,7 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
             data["delay_s"], populations,
             dynamics.ground_group_energies(config.params))
     elif args.model == "sweep":
+        check_positive("--scale-init", args.scale_init)
         if len(args.data) != len(args.axis):
             raise ValidationError("pass one --axis per --data sweep file")
         sweeps = []

@@ -21,10 +21,6 @@ class PhysicalConstants:
     def mu_n_ghz_per_t(self) -> float:
         return self.mu_n_mhz_per_t * 1e-3
 
-    @property
-    def mu_n_over_mu_b(self) -> float:
-        return self.mu_n_ghz_per_t / self.mu_b_ghz_per_t
-
 
 CONSTANTS = PhysicalConstants()
 

@@ -7,6 +7,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from pathlib import Path
 
@@ -102,18 +103,23 @@ SCHEMAS = {
 
 def _parse_rows(path, rows, columns, indices) -> np.ndarray:
     """Cell-by-cell parse of the body rows (the header is row 1); names the
-    first row and column that do not hold a number."""
+    first row and column that do not hold a finite number."""
     values = []
     for row_number, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         for column, idx in zip(columns, indices):
             try:
-                values.append(float(row[idx]))
+                value = float(row[idx])
             except (ValueError, IndexError):
                 raise ValidationError(
                     f"{path}:{row_number}: non-numeric value in "
                     f"column {column!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}:{row_number}: non-finite value in "
+                    f"column {column!r}")
+            values.append(value)
     return np.asarray(values, dtype=float).reshape(-1, len(columns))
 
 
@@ -121,11 +127,12 @@ def read_measurement_csv(path, schema: str) -> dict[str, np.ndarray]:
     """Validated numeric dataset for one of the documented schemas.
 
     The header must contain the schema's columns (extras are tolerated with
-    a warning); the primary axis must increase strictly.  For the long-form
-    sweep schema the detuning must increase within each field block.  The
-    body is parsed in one block; only a body that block parse rejects (a
-    bad cell, a short row, a row of empty cells) is read again cell by cell,
-    which skips blank rows and names the first bad row and column.
+    a warning) and every cell a finite number; the primary axis must
+    increase strictly.  For the long-form sweep schema the detuning must
+    increase within each field block.  The body is parsed in one block; only
+    a body that block parse rejects (a bad cell, a short row, a row of empty
+    cells) or that holds a nan or inf is read again cell by cell, which
+    skips blank rows and names the first bad row and column.
     """
     if schema not in SCHEMAS:
         raise ValidationError(f"unknown schema {schema!r}; "
@@ -158,23 +165,25 @@ def read_measurement_csv(path, schema: str) -> dict[str, np.ndarray]:
                 block = np.loadtxt(handle, delimiter=",", comments=None,
                                    usecols=indices, ndmin=2)
         except ValueError:
+            block = None
+        if block is None or not np.isfinite(block).all():
             handle.seek(body_start)
             block = _parse_rows(path, csv.reader(handle), columns, indices)
     arrays = dict(zip(columns, np.ascontiguousarray(block.T)))
     axis = spec["axis"]
     if axis is not None:
         values = arrays[axis]
-        if values.size >= 2 and np.any(np.diff(values) <= 0):
+        if not np.all(np.diff(values) > 0):
             raise ValidationError(f"{path}: non-monotonic axis {axis!r}")
     if schema == "sweep" and arrays["field_mT"].size:
-        if np.any(np.diff(arrays["field_mT"]) < 0):
+        if not np.all(np.diff(arrays["field_mT"]) >= 0):
             raise ValidationError(f"{path}: non-monotonic axis 'field_mT'")
         blocks = np.flatnonzero(np.diff(arrays["field_mT"]) != 0)
         starts = np.concatenate([[0], blocks + 1])
         ends = np.concatenate([blocks + 1, [arrays["field_mT"].size]])
         for lo, hi in zip(starts, ends):
             segment = arrays["detuning_GHz"][lo:hi]
-            if segment.size >= 2 and np.any(np.diff(segment) <= 0):
+            if not np.all(np.diff(segment) > 0):
                 raise ValidationError(
                     f"{path}: non-monotonic axis 'detuning_GHz' within a "
                     "field block")

@@ -323,22 +323,15 @@ def _integrate_linear(matrix, y0, duration):
     return np.array(times), np.array(states)
 
 
-def pump_simulation(config: PumpConfig, params: SpinSystemParams,
-                    initial: np.ndarray | None = None) -> PumpResult:
+def pump_simulation(config: PumpConfig, params: SpinSystemParams) -> PumpResult:
     """Population trajectories of the 4 ground + 4 excited levels.
 
-    Starts from the ground-manifold thermal distribution unless `initial`
-    is given.  Populations are conserved by construction (the generator's
-    columns sum to zero) and stay within [0, 1].
+    Starts from the ground-manifold thermal distribution.  Populations are
+    conserved by construction (the generator's columns sum to zero) and stay
+    within [0, 1].
     """
     matrix = _pump_rate_matrix(config, params)
-    if initial is None:
-        y0 = equilibrium_populations(params, config.temperature_k)
-    else:
-        y0 = np.asarray(initial, dtype=float)
-        if y0.shape != (8,) or not (abs(y0.sum() - 1.0) <= 1e-9 and y0.min() >= 0):
-            raise ValidationError("initial populations must be 8 non-negative "
-                                  "values summing to 1")
+    y0 = equilibrium_populations(params, config.temperature_k)
     times, states = _integrate_linear(matrix, y0, config.duration_s)
     return PumpResult(times, states)
 
@@ -396,24 +389,15 @@ def coherence_budget_optical(t1_s: float, flipflop: dict | None = None) -> RateB
     return RateBudget(channels, pi_gamma / math.pi, 1.0 / pi_gamma)
 
 
-def coherence_budget_spin(flipflop: dict | None = None, slr: dict | None = None,
-                          polarized: bool = True) -> RateBudget:
-    """Spin-transition budget from flip-flop and spin-lattice channels.
-
-    Unpolarized: every channel out of either clock level contributes half
-    its rate.  Polarized with a small excited fraction: only the flip-flop
-    on the clock pair itself survives, pi Gamma_h = R_ff(clock)/2.
+def coherence_budget_spin(flipflop: dict | None = None) -> RateBudget:
+    """Spin-transition budget of a polarized ensemble with a small excited
+    fraction: only the flip-flop on the clock pair itself survives,
+    pi Gamma_h = R_ff(clock)/2.
     """
     flipflop = flipflop or {}
-    slr = slr or {}
-    if polarized:
-        clock = [v for k, v in flipflop.items() if tuple(sorted(k)) == (1, 4)] or [0.0]
-        pi_gamma = 0.5 * clock[0]
-        channels = {"flipflop_(1, 4)": clock[0]}
-    else:
-        pi_gamma = 0.5 * (sum(flipflop.values()) + sum(slr.values()))
-        channels = {f"flipflop_{k}": v for k, v in flipflop.items()}
-        channels.update({f"slr_{k}": v for k, v in slr.items()})
+    clock = [v for k, v in flipflop.items() if tuple(sorted(k)) == (1, 4)] or [0.0]
+    pi_gamma = 0.5 * clock[0]
+    channels = {"flipflop_(1, 4)": clock[0]}
     if pi_gamma <= 0:
         return RateBudget(channels, 0.0, math.inf, unbounded=True)
     return RateBudget(channels, pi_gamma / math.pi, 1.0 / pi_gamma)
@@ -449,11 +433,9 @@ REPOLARIZATION_WINDOW_S = 0.4
 PHONON_T9_HZ_K9 = 0.0126
 
 
-def _doublet_population(energies, temperature_k, polarized: bool) -> float:
-    """Residual doublet occupation during a coherence measurement, from the
-    ground group energies (GHz)."""
-    if not polarized:
-        return 0.5  # populations reshuffled evenly over the four levels
+def _doublet_population(energies, temperature_k) -> float:
+    """Residual doublet occupation of a polarized ensemble during a
+    coherence measurement, from the ground group energies (GHz)."""
     eq = boltzmann_populations(energies, temperature_k,
                                degeneracies=GROUND_MULTIPLICITIES)
     refill = 1.0 - math.exp(-slr_rate(temperature_k, SLR_DOUBLET)
@@ -478,14 +460,14 @@ def _doublet_flipflop_rate(params, temperature_k, population,
 
 
 def t2_vs_temperature(params: SpinSystemParams, temperatures_k,
-                      mode: str = "spin", polarized: bool = True) -> np.ndarray:
+                      mode: str = "spin") -> np.ndarray:
     """Predicted coherence time versus temperature, s.
 
     spin mode: the clock-pair flip-flop floor plus doublet-mediated
     flip-flops weighted by the residual doublet population (squared, both
-    partners must occupy the doublet channel); it models a polarized
-    ensemble only.  optical mode: radiative decay plus the same spin
-    channels out of the optical ground level plus a T^9 phonon term.
+    partners must occupy the doublet channel).  optical mode: radiative
+    decay plus the same spin channels out of the optical ground level plus
+    a T^9 phonon term.  Both model a polarized ensemble.
     Monotonically non-increasing in temperature.
     """
     temps = np.asarray(temperatures_k, dtype=float)
@@ -493,14 +475,11 @@ def t2_vs_temperature(params: SpinSystemParams, temperatures_k,
         raise ValidationError("temperature grid must lie in (0, 5] K")
     if mode not in ("spin", "optical"):
         raise ValidationError("mode must be 'spin' or 'optical'")
-    if mode == "spin" and not polarized:
-        raise ValidationError("spin mode models a polarized ensemble; "
-                              "polarized=False is an optical-mode input")
     energies = ground_group_energies(params)
     e1, e23, e4 = energies
     out = np.empty(temps.shape)
     for k, t in np.ndenumerate(temps):
-        p23 = _doublet_population(energies, t, polarized)
+        p23 = _doublet_population(energies, t)
         r_4_23 = _doublet_flipflop_rate(params, t, p23, e4 - e23)
         if mode == "spin":
             r_1_23 = _doublet_flipflop_rate(params, t, p23, e23 - e1)

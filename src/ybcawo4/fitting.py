@@ -111,7 +111,7 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     if bounds is not None:
         lo = np.asarray([b[0] for b in bounds], dtype=float)
         hi = np.asarray([b[1] for b in bounds], dtype=float)
-        if np.any(params < lo) or np.any(params > hi):
+        if not (np.all(params >= lo) and np.all(params <= hi)):
             raise ValidationError("initial parameters violate the bounds")
     names = names or tuple(f"p{k}" for k in range(params.size))
 
@@ -253,7 +253,7 @@ def fit_echo_decay(tau_s, intensity) -> FitResult:
     y = np.asarray(intensity, dtype=float)
     if tau.size < 4:
         raise ValidationError("need at least 4 delays")
-    if np.any(tau < 0):
+    if not np.all(tau >= 0):
         raise ValidationError("delays must be non-negative")
     positive = y > 0
     if positive.sum() >= 2:
@@ -313,7 +313,7 @@ def fit_slr_recovery(delays_s, populations, energies_ghz) -> FitResult:
         raise ValidationError("need at least 4 delays")
     if pops.shape != (delays.size, 3):
         raise ValidationError("populations must be (n_delays, 3)")
-    if np.any(pops < 0) or np.any(pops > 1):
+    if not np.all((pops >= 0) & (pops <= 1)):
         raise ValidationError("populations must lie in [0, 1]")
     energies = np.asarray(energies_ghz, dtype=float)
 

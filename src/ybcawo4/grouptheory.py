@@ -581,18 +581,11 @@ def fit_j_mixing(target_g_parallel: float, target_g_perpendicular: float,
                                           order="upper")
 
 
-def fit_doublet_amplitudes(g_parallel: float, j: float = 2.5,
-                           family: str = "G56") -> tuple[float, float]:
-    """(a, b) >= 0 of the unmixed doublet reproducing g_parallel exactly.
-
-    j must be 2.5 or 3.5; family may be any spelling _doublet_family takes.
-    """
-    _check_j(j)
-    if _doublet_family(family) != "G56":
-        raise ValidationError("closed-form inversion implemented for the G56 family")
-    g_j = G_52 if j == 2.5 else G_72
-    # g_par = g_j (5a^2 - 3b^2) = g_j (8a^2 - 3)
-    a_sq = (g_parallel / g_j + 3.0) / 8.0
+def fit_doublet_amplitudes(g_parallel: float) -> tuple[float, float]:
+    """(a, b) >= 0 of the unmixed J = 5/2 G56 doublet reproducing g_parallel
+    exactly."""
+    # g_par = G_52 (5a^2 - 3b^2) = G_52 (8a^2 - 3)
+    a_sq = (g_parallel / G_52 + 3.0) / 8.0
     if not 0.0 <= a_sq <= 1.0:
         raise DomainError(f"g_parallel = {g_parallel} is outside the doublet range")
     return math.sqrt(a_sq), math.sqrt(1.0 - a_sq)

@@ -3,7 +3,7 @@ magnetic-field sweep maps and EPR resonance-field searches.
 
 Detunings are quoted in GHz relative to the optical center (the electronic
 transition frequency with all hyperfine splittings removed); the zero-spin
-isotope line sits at a configurable offset, 0 by default.
+isotope lines sit at 0 offset from it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,17 +46,6 @@ class BranchingTable:
         if not np.all((w >= 0) & (w <= 1)):
             raise ValidationError("branching weights must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
-
-    def line_weight(self, ground_level: int, excited_level: int) -> float:
-        """Table weight of the line between two 1-based levels.
-
-        Levels map to groups by the layout alone; the params-taking callers
-        check a tensor against it (spinham.checked_zero_field_levels).
-        """
-        if not (1 <= ground_level <= 4 and 1 <= excited_level <= 4):
-            raise ValidationError("line levels must be 1..4")
-        return float(self.weights[GROUND_LEVEL_GROUP[ground_level - 1],
-                                  EXCITED_LEVEL_GROUP[excited_level - 1]])
 
 
 # Measured relative branching ratios of the tetragonal site, one table per
@@ -142,16 +131,15 @@ def _pow_square(x: np.ndarray) -> np.ndarray:
 _HALF_SPLIT = np.array([-0.5, 0.5])   # levels 1 and 2 of a Zeeman doublet
 
 
-def zero_spin_centers(params: SpinSystemParams, fields_mt,
-                      offset_ghz: float = 0.0) -> np.ndarray:
+def zero_spin_centers(params: SpinSystemParams, fields_mt) -> np.ndarray:
     """Line centers (n, 4) in GHz of the I=0 isotopes over an (n, 3) field
     stack in mT.
 
     The I=0 isotopes have pure electron Zeeman doublets, split by
     g_eff mu_B |B| with g_eff = |g . d| along the field direction d.  Column
     2 (i - 1) + (j - 1) is the ground level i -> excited level j line,
-    (offset + e_e[j]) - e_g[i], with e[1] = -split / 2 and e[2] = split / 2.
-    A zero field gives four lines at the offset.
+    e_e[j] - e_g[i], with e[1] = -split / 2 and e[2] = split / 2.  A zero
+    field gives four lines at 0.
     """
     fields = np.atleast_2d(np.asarray(fields_mt, dtype=float))
     norm = _row_norms(fields)
@@ -168,9 +156,8 @@ def zero_spin_centers(params: SpinSystemParams, fields_mt,
                     + g_perp_sq * (axial[:, :1] + axial[:, 1:2]))
     split = g_eff * CONSTANTS.mu_b_ghz_per_t * (norm * 1e-3)[:, None]
     levels = split[:, :, None] * _HALF_SPLIT           # [row, manifold, level]
-    centers = ((offset_ghz + levels[:, 1, None, :])
-               - levels[:, 0, :, None]).reshape(-1, 4)
-    centers[norm == 0.0] = offset_ghz
+    centers = (levels[:, 1, None, :] - levels[:, 0, :, None]).reshape(-1, 4)
+    centers[norm == 0.0] = 0.0
     return centers
 
 
@@ -194,13 +181,13 @@ def _branching_table(weights: BranchingTable | str | None) -> BranchingTable | N
         raise ValidationError(f"unknown branching table {weights!r}") from None
 
 
-def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0):
+def optical_lines(params: SpinSystemParams, fields_mt):
     """Optical line centres (n, 20) in GHz over an (n, 3) field stack in mT,
     and the eigenvector stacks (s_g, s_e) of the two manifolds.
 
     Column 4 (i - 1) + (j - 1) is the 171Yb line from ground level i to
     excited level j, e_e[j] - e_g[i]; columns 16-19 are the I = 0 lines of
-    zero_spin_centers at offset_ghz.  One spinham.eigensystems call per
+    zero_spin_centers.  One spinham.eigensystems call per
     manifold, so s_g[r, :, i - 1] is ground level i of row r.  The one place
     that forms e_e - e_g; the catalog, the sweep map and the sweep fit all
     read their lines from it.
@@ -210,20 +197,19 @@ def optical_lines(params: SpinSystemParams, fields_mt, offset_ghz: float = 0.0):
     n = e_g.shape[0]
     centres = np.empty((n, 20))
     centres[:, :16] = (e_e[:, None, :] - e_g[:, :, None]).reshape(n, 16)
-    centres[:, 16:] = zero_spin_centers(params, fields_mt, offset_ghz)
+    centres[:, 16:] = zero_spin_centers(params, fields_mt)
     return centres, (s_g, s_e)
 
 
 def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
-                  fields_mt: np.ndarray, zero_spin_fraction: float,
-                  mixed_states=None) -> np.ndarray:
+                  fields_mt: np.ndarray, mixed_states=None) -> np.ndarray:
     """Weights (n, 20) of the optical_lines columns over an (n, 3) field stack.
 
     171Yb lines carry the table weight of their level groups (1 with no
     table).  With mixed_states, the (s_g, s_e) of optical_lines, the weights
     follow the field-induced mixing incoherently:
     w_ij(B) = sum_kl |<i(B)|k(0)>|^2 |<j(B)|l(0)>|^2 w_kl(0).  The I = 0
-    lines share zero_spin_fraction times the left-to-right sum of the 16
+    lines share DEFAULT_I0_FRACTION times the left-to-right sum of the 16
     weights (cumsum is sequential; np.sum's pairwise order would round
     differently), a quarter each, or all of it on column 16 at a zero field,
     where the four I = 0 lines coincide.  A table needs both hyperfine
@@ -246,7 +232,7 @@ def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
         weights[:, :16] = (og @ w0 @ oe.transpose(0, 2, 1)).reshape(n, 16)
     else:
         weights[:, :16] = w0.reshape(16)
-    share = zero_spin_fraction * np.cumsum(weights[:, :16], axis=1)[:, -1]
+    share = DEFAULT_I0_FRACTION * np.cumsum(weights[:, :16], axis=1)[:, -1]
     weights[:, 16:] = (share / 4.0)[:, None]
     zero_field = _row_norms(fields_mt) == 0.0
     weights[zero_field, 16] = share[zero_field]
@@ -255,9 +241,7 @@ def _line_weights(params: SpinSystemParams, table: BranchingTable | None,
 
 
 def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
-                       weights: BranchingTable | str | None = None,
-                       zero_spin_offset_ghz: float = 0.0,
-                       zero_spin_fraction: float = DEFAULT_I0_FRACTION
+                       weights: BranchingTable | str | None = None
                        ) -> list[TransitionLine]:
     """All optical lines at one field: 16 hyperfine lines plus 4 zero-spin
     ones, or one zero-spin line of the whole I = 0 weight at zero field.
@@ -269,8 +253,8 @@ def transition_catalog(params: SpinSystemParams, b_mt=(0.0, 0.0, 0.0),
     """
     table = _branching_table(weights)
     b = np.asarray(b_mt, dtype=float)
-    centres, _ = optical_lines(params, b[None], zero_spin_offset_ghz)
-    line_weights = _line_weights(params, table, b[None], zero_spin_fraction)
+    centres, _ = optical_lines(params, b[None])
+    line_weights = _line_weights(params, table, b[None])
     pol = table.polarization if table is not None else None
     lines = [TransitionLine(k // 4 + 1, k % 4 + 1, float(centres[0, k]),
                             float(line_weights[0, k]), pol) for k in range(16)]
@@ -353,8 +337,7 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
                     weights: BranchingTable | str | None = None,
                     mixed_weights: bool = False,
                     fwhm_171_mhz: float = SWEEP_FWHM_171_MHZ,
-                    fwhm_i0_mhz: float = SWEEP_FWHM_I0_MHZ,
-                    zero_spin_fraction: float = DEFAULT_I0_FRACTION) -> SweepMap:
+                    fwhm_i0_mhz: float = SWEEP_FWHM_I0_MHZ) -> SweepMap:
     """Spectra over a field sweep along a fixed axis, on a common grid.
 
     With mixed_weights the zero-field branching weights follow the
@@ -382,7 +365,7 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
 
     b_vecs = fields[:, None] * axis[None, :]
     centres, states = optical_lines(params, b_vecs)
-    line_weights = _line_weights(params, table, b_vecs, zero_spin_fraction,
+    line_weights = _line_weights(params, table, b_vecs,
                                  states if mixed_weights else None)
     block = np.empty((fields.size, x.size))
     for k, (c, w) in enumerate(zip(centres, line_weights)):
@@ -396,6 +379,9 @@ def field_sweep_map(params: SpinSystemParams, axis, field_values_mt, grid,
 # Largest |E_j - E_i - nu| (GHz) of a returned resonance, checked on the
 # exact eigensystem at that field.
 EPR_RESIDUAL_BOUND_GHZ = 1e-6
+
+# Two roots of one level pair closer than this (mT) count as one, a tangency.
+EPR_TOL_MT = 1e-3
 
 # Where in the field range the eigenfield problem is shifted to, as fractions
 # of the range; the second point is used when the first lies on a resonance.
@@ -472,9 +458,9 @@ def _eigenfield_roots(h0: np.ndarray, h1: np.ndarray, nu: float,
 
 def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
                          theta_deg: float, phi_deg: float = 0.0,
-                         b_range_mt=(1.0, 1000.0), tol_mt: float = 1e-3,
-                         manifold: Manifold = Manifold.GROUND) -> list[EprResonance]:
-    """Fields where a level-pair splitting equals the microwave frequency.
+                         b_range_mt=(1.0, 1000.0)) -> list[EprResonance]:
+    """Fields where a ground-manifold level-pair splitting equals the
+    microwave frequency.
 
     The field enters linearly, H(B) = H0 + B H1, so every resonance field
     along the direction is a real eigenvalue of one 16x16 problem in
@@ -487,8 +473,8 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
     field: its level pair (i, j) is the one with |E_j - E_i - nu| below
     EPR_RESIDUAL_BOUND_GHZ (1e-6 GHz).  Roots that coincide (pairs 1-3 and
     2-4 without hyperfine coupling) get distinct pairs.  Two roots of one
-    pair closer than tol_mt count as one root (a tangency).  A root that no
-    pair explains raises NumericalError.
+    pair closer than EPR_TOL_MT count as one root (a tangency).  A root that
+    no pair explains raises NumericalError.
 
     Weights are ac magnetic dipole magnitudes, RMS over two drive directions
     perpendicular to the static field.  Results are sorted by field; an
@@ -502,15 +488,14 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
     check_finite("microwave frequency", nu)
     check_positive("microwave frequency", nu)
     check_finite("field angles", theta_deg, phi_deg)
-    check_positive("tol_mt", tol_mt)
     direction = _direction_from_angles(theta_deg, phi_deg)
-    h0 = spinham.zeeman_operators(params, manifold)[0]
-    h1 = spinham.field_derivative_operator(params, manifold, direction) * 1e-3
+    h0 = spinham.zeeman_operators(params, Manifold.GROUND)[0]
+    h1 = spinham.field_derivative_operator(params, Manifold.GROUND, direction) * 1e-3
     fields = _eigenfield_roots(h0, h1, nu, lo, hi)
     if fields.size == 0:
         return []
 
-    energies, states = spinham.eigensystems(params, manifold,
+    energies, states = spinham.eigensystems(params, Manifold.GROUND,
                                             fields[:, None] * direction)
     residual = np.abs(energies[:, _UPPER_J] - energies[:, _UPPER_I] - nu)
     rows, pairs = [], []
@@ -522,14 +507,14 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
             raise NumericalError(
                 f"eigenfield root at {b:.6f} mT misses the resonance condition "
                 f"by {residual[r].min():.3g} GHz")
-        free = [k for k in matching if b - last_field.get(k, -np.inf) > tol_mt]
-        if free:   # otherwise a root within tol_mt already carries each pair
+        free = [k for k in matching if b - last_field.get(k, -np.inf) > EPR_TOL_MT]
+        if free:   # otherwise a root within EPR_TOL_MT already carries each pair
             rows.append(r)
             pairs.append(free[0])
             last_field[free[0]] = b
     rows, pairs = np.array(rows), np.array(pairs)
 
-    drive = np.stack([spinham.magnetic_dipole_operator(params, manifold, e)
+    drive = np.stack([spinham.magnetic_dipole_operator(params, Manifold.GROUND, e)
                       for e in _drive_directions(direction)])
     amps = np.einsum("ra,kab,rb->rk", states[rows, :, _UPPER_I[pairs]].conj(),
                      drive, states[rows, :, _UPPER_J[pairs]])
@@ -540,8 +525,8 @@ def epr_resonance_fields(params: SpinSystemParams, microwave_freq_ghz: float,
 
 
 def angular_rosette(params: SpinSystemParams, plane: str, angles_deg,
-                    microwave_freq_ghz: float, b_range_mt=(1.0, 1000.0),
-                    **kwargs) -> list[tuple[float, list[EprResonance]]]:
+                    microwave_freq_ghz: float, b_range_mt=(1.0, 1000.0)
+                    ) -> list[tuple[float, list[EprResonance]]]:
     """EPR resonance fields versus rotation angle in the c-a or a-b plane.
 
     In the c-a plane the angle is measured from the c axis; in the a-b
@@ -560,5 +545,5 @@ def angular_rosette(params: SpinSystemParams, plane: str, angles_deg,
             raise ValidationError("plane must be 'c-a' or 'a-b'")
         out.append((float(angle),
                     epr_resonance_fields(params, microwave_freq_ghz, theta, phi,
-                                         b_range_mt, **kwargs)))
+                                         b_range_mt)))
     return out

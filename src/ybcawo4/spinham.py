@@ -119,14 +119,6 @@ class EigenSystem:
         """Eigenvector for the 1-based level index."""
         return self.states[:, index - 1]
 
-    def degenerate_pairs(self, tol_ghz: float = _DEGENERACY_TOL_GHZ):
-        """1-based index pairs of levels degenerate within tol."""
-        out = []
-        for i in range(3):
-            if self.energies[i + 1] - self.energies[i] < tol_ghz:
-                out.append((i + 1, i + 2))
-        return out
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Give every eigenvector column its largest-magnitude component real and positive."""
@@ -296,24 +288,24 @@ def _sensitivities(params, manifold, eig: EigenSystem) -> np.ndarray:
     return np.einsum("ak,xab,bk->kx", eig.states.conj(), zeeman, eig.states).real
 
 
-def find_clock_transitions(params: SpinSystemParams, b0_mt=(0.0, 0.0, 0.0),
-                           pairs: str = "ground",
+def find_clock_transitions(params: SpinSystemParams, pairs: str = "ground",
                            tol_mhz_per_mt: float = 1e-6):
-    """Level pairs whose differential first-order field sensitivity vanishes.
+    """Level pairs whose differential first-order field sensitivity vanishes
+    at zero field.
 
     pairs: "ground" / "excited" for spin transitions inside one manifold,
     "optical" for (ground level, excited level) pairs.  A pair is flagged
     when the sensitivity difference is below tol along all three axes.
     """
     if pairs == "optical":
-        eg = eigensystem(params, Manifold.GROUND, b0_mt)
-        ee = eigensystem(params, Manifold.EXCITED, b0_mt)
+        eg = eigensystem(params, Manifold.GROUND)
+        ee = eigensystem(params, Manifold.EXCITED)
         sg = _sensitivities(params, Manifold.GROUND, eg)
         se = _sensitivities(params, Manifold.EXCITED, ee)
         return [(i + 1, j + 1) for i in range(4) for j in range(4)
                 if np.max(np.abs(sg[i] - se[j])) < tol_mhz_per_mt]
     manifold = Manifold.GROUND if pairs == "ground" else Manifold.EXCITED
-    eig = eigensystem(params, manifold, b0_mt)
+    eig = eigensystem(params, manifold)
     s = _sensitivities(params, manifold, eig)
     return [(i + 1, j + 1) for i in range(4) for j in range(i + 1, 4)
             if np.max(np.abs(s[i] - s[j])) < tol_mhz_per_mt]

@@ -14,6 +14,7 @@ import pytest
 from ybcawo4 import cli, csvio, dynamics, fitting, spectra
 from ybcawo4.errors import ValidationError
 from ybcawo4.params import GROUND_MULTIPLICITIES, default_params
+from test_golden import write_inputs
 
 
 def run_cli(*argv):
@@ -502,6 +503,57 @@ class TestDeterminism:
                 (tmp_path / "b" / filename).read_bytes()
 
 
+# The small fit inputs of the golden commands, a spectrum, and copies of one
+# file per schema with a nan cell in the first column, and with a nan and
+# with an inf cell in the last: {model: (file, first column, last column)}.
+_FIT_FILES = {"gaussian": ("spectrum.csv", "detuning_GHz", "absorption"),
+              "decay": ("decay.csv", "tau_s", "intensity"),
+              "recovery": ("recovery.csv", "delay_s", "n4g"),
+              "sweep": ("sweep_a.csv", "field_mT", "absorption")}
+_FIT_SWEEP = ["--model", "sweep", "--data", "{inputs}/sweep_a.csv", "--axis", "a"]
+
+
+def _copy_with_cell(path: Path, column: str, value: str) -> None:
+    """A copy of a measurement CSV whose cell in row 3 of column is value."""
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[2] = ",".join(cells)
+    path.with_name(f"{path.stem}_{column}_{value}.csv").write_text(
+        "\n".join(lines) + "\n")
+
+
+# fit inputs rejected by name with exit 1: (argv, the error message)
+_FIT_REJECTS = [
+    (_FIT_SWEEP + ["--scale-init", "0"], "--scale-init must be positive"),
+    (_FIT_SWEEP + ["--scale-init", "-5"], "--scale-init must be positive"),
+    (_FIT_SWEEP + ["--scale-init", "nan"], "--scale-init must be positive"),
+    (_FIT_SWEEP + ["--scale-init", "inf"], "--scale-init must be finite"),
+    (["--model", "decay", "--data", "{inputs}/decay_tau_s_nan.csv"],
+     "decay_tau_s_nan.csv:3: non-finite value in column 'tau_s'"),
+    (["--model", "decay", "--data", "{inputs}/decay_intensity_nan.csv"],
+     "decay_intensity_nan.csv:3: non-finite value in column 'intensity'"),
+    (["--model", "decay", "--data", "{inputs}/decay_intensity_inf.csv"],
+     "decay_intensity_inf.csv:3: non-finite value in column 'intensity'"),
+    (["--model", "recovery", "--data", "{inputs}/recovery_delay_s_nan.csv"],
+     "recovery_delay_s_nan.csv:3: non-finite value in column 'delay_s'"),
+]
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fit-inputs")
+    write_inputs(directory)
+    x = np.linspace(-1.0, 1.0, 41)
+    csvio.write_rows(directory / "spectrum.csv", ["detuning_GHz", "absorption"],
+                     zip(x, fitting.gaussian_profile(x, 0.1, 0.2, 1.0, 0.0)))
+    for name, first, last in _FIT_FILES.values():
+        _copy_with_cell(directory / name, first, "nan")
+        _copy_with_cell(directory / name, last, "inf")
+        _copy_with_cell(directory / name, last, "nan")
+    return directory
+
+
 class TestMeasurementReader:
     def test_decay_csv_read(self, tmp_path):
         path = tmp_path / "decay.csv"
@@ -632,6 +684,18 @@ class TestFitSubcommand:
                        "jacobian; g_e_parallel unidentifiable)\n")
         assert not (out / "fit.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,message", _FIT_REJECTS,
+                             ids=[" ".join(c[0]) for c in _FIT_REJECTS])
+    def test_bad_input_exits_1_naming_it(self, fit_inputs, tmp_path, capfd,
+                                         argv, message):
+        # capfd: LAPACK writes its complaints to file descriptor 2
+        argv = [arg.replace("{inputs}", str(fit_inputs)) for arg in argv]
+        assert run_cli("--out", tmp_path, "fit", *argv) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error (fit): ") and err.count("\n") == 1, err
+        assert message in err
+
 
 # --- fuzz: every numeric input at the edges of its domain -------------------
 
@@ -692,6 +756,19 @@ def _fuzz_option_cases():
     return cases
 
 
+def _fuzz_fit_cases():
+    """(argv, names) of fit: --scale-init at each edge value on one sweep,
+    and each schema with a nan and with an inf cell."""
+    cases = [(_FIT_SWEEP + [f"--scale-init={value}"], ("--scale-init",))
+             for value in _FUZZ_FLOATS]
+    for model, (name, first, last) in _FIT_FILES.items():
+        axis = ["--axis", "a"] if model == "sweep" else []
+        for column, value in ((first, "nan"), (last, "inf")):
+            data = f"{{inputs}}/{Path(name).stem}_{column}_{value}.csv"
+            cases.append((["--model", model, "--data", data, *axis], (column,)))
+    return cases
+
+
 def _fuzz_set_cases():
     cases = []
     for key in sorted(cli._CONFIG_KEYS):
@@ -723,9 +800,9 @@ def _fuzz_run(out, argv, seconds=_FUZZ_SECONDS):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _check_fuzz_outcome(out, argv, names, capsys):
+def _check_fuzz_outcome(out, argv, names, capture):
     code = _fuzz_run(out, argv)
-    stdout, stderr = capsys.readouterr()
+    stdout, stderr = capture.readouterr()
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         assert not _NAN.search(stdout), (argv, stdout)
@@ -738,12 +815,14 @@ def _check_fuzz_outcome(out, argv, names, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFuzz:
     """Every numeric input at 0, -1, 1, nan and +-inf (counts at 0, -1 and
-    1): each call exits 0, 1 or 2 promptly without a traceback or a numpy
-    warning; an exit-0 call writes no nan, and an exit-1 call names its
-    option or --set key."""
+    1), and a nan and an inf cell in each measurement schema: each call
+    exits 0, 1 or 2 promptly without a traceback or a numpy warning; an
+    exit-0 call writes no nan, and an exit-1 call names its option, --set
+    key or column."""
 
     OPTION_CASES = _fuzz_option_cases()
     SET_CASES = _fuzz_set_cases()
+    FIT_CASES = _fuzz_fit_cases()
 
     @pytest.mark.parametrize("argv,names", OPTION_CASES,
                              ids=[" ".join(c[0]) for c in OPTION_CASES])
@@ -755,3 +834,10 @@ class TestFuzz:
     def test_set_key(self, tmp_path, capsys, runs, names):
         for k, argv in enumerate(runs):
             _check_fuzz_outcome(tmp_path / str(k), argv, names, capsys)
+
+    @pytest.mark.parametrize("argv,names", FIT_CASES,
+                             ids=[" ".join(c[0]) for c in FIT_CASES])
+    def test_fit(self, fit_inputs, tmp_path, capfd, argv, names):
+        # capfd: LAPACK writes its complaints to file descriptor 2
+        argv = ["fit"] + [arg.replace("{inputs}", str(fit_inputs)) for arg in argv]
+        _check_fuzz_outcome(tmp_path, argv, names, capfd)

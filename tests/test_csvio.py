@@ -137,6 +137,15 @@ def test_reader_names_row_after_blank_rows(tmp_path):
         csvio.read_measurement_csv(path, "decay")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN "])
+def test_reader_names_a_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "decay.csv"
+    path.write_text(f"tau_s,intensity\n0.0,1.0\n\n0.1,0.8\n0.2,{cell}\n")
+    with pytest.raises(ValidationError,
+                       match=r"decay\.csv:5: non-finite value in column 'intensity'"):
+        csvio.read_measurement_csv(path, "decay")
+
+
 def test_reader_names_short_row(tmp_path):
     path = tmp_path / "recovery.csv"
     path.write_text("delay_s,n1g,n23g,n4g\n1,0.9,0.05,0.05\n2,0.8\n")

@@ -58,12 +58,14 @@ _ORDER = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 def _nan_blind(node, negated=False):
     """Ordering comparisons in a condition that a NaN operand leaves False:
-    those not under a `not`.  Comparisons inside calls (array reductions)
-    and of counts (.size, len()) cannot meet a NaN scalar and are skipped."""
+    those not under a `not`.  An any() or all() reduction is looked into,
+    as a NaN element leaves its comparison False too; comparisons inside
+    other calls and of counts (.size, len()) are skipped."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         yield from _nan_blind(node.operand, not negated)
         return
-    if isinstance(node, ast.Call):
+    if isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) not in ("any", "all"):
         return
     if (isinstance(node, ast.Compare) and not negated
             and any(isinstance(op, _ORDER) for op in node.ops)

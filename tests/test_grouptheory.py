@@ -400,21 +400,14 @@ class TestLabelSpellings:
             assert gt.g_consistency_relation(2.5, family, "upper", -1.44) == \
                 gt.g_consistency_relation(2.5, "G56", "upper", -1.44)
 
-    def test_fit_doublet_amplitudes(self):
-        for family in self.SPELLINGS:
-            assert gt.fit_doublet_amplitudes(-1.446, family=family) == \
-                gt.fit_doublet_amplitudes(-1.446)
-
     def test_unknown_family_rejected_by_name(self):
         for call in (lambda: gt.DoubletCoefficients(1.0, 0.0, family="G9"),
-                     lambda: gt.g_consistency_relation(2.5, "G9", "upper", 1.0),
-                     lambda: gt.fit_doublet_amplitudes(1.0, family="G9")):
+                     lambda: gt.g_consistency_relation(2.5, "G9", "upper", 1.0)):
             with pytest.raises(ValidationError, match="unknown doublet family 'G9'"):
                 call()
 
     def test_j_outside_the_two_doublets_rejected(self):
-        for call in (lambda: gt.fit_doublet_amplitudes(-1.446, j=3.0),
-                     lambda: gt.g_consistency_relation(3.0, "G56", "upper", 1.0),
+        for call in (lambda: gt.g_consistency_relation(3.0, "G56", "upper", 1.0),
                      lambda: gt.DoubletCoefficients(1.0, 0.0, j=3.0)):
             with pytest.raises(ValidationError, match="j must be 2.5 or 3.5"):
                 call()

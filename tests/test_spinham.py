@@ -114,14 +114,12 @@ def test_perpendicular_sign_flip_leaves_spectrum_invariant():
 
 
 def test_exactly_one_zero_field_doublet_per_manifold():
-    for m in Manifold:
-        eig = sh.eigensystem(PARAMS, m)
-        pairs = eig.degenerate_pairs(tol_ghz=1e-9)
-        assert len(pairs) == 1
-        i, j = pairs[0]
-        assert eig.energies[j - 1] - eig.energies[i - 1] < 1e-9
-    assert sh.eigensystem(PARAMS, Manifold.GROUND).degenerate_pairs() == [(2, 3)]
-    assert sh.eigensystem(PARAMS, Manifold.EXCITED).degenerate_pairs() == [(1, 2)]
+    # gap k lies between levels k + 1 and k + 2: the doublet is levels 2, 3
+    # of the ground manifold and levels 1, 2 of the excited one
+    for m, doublet in ((Manifold.GROUND, 1), (Manifold.EXCITED, 0)):
+        gaps = np.diff(sh.eigensystem(PARAMS, m).energies)
+        assert np.flatnonzero(gaps < 1e-9).tolist() == [doublet]
+        assert np.flatnonzero(gaps < sh._DEGENERACY_TOL_GHZ).tolist() == [doublet]
 
 
 def test_doublet_basis_convention():
@@ -251,7 +249,7 @@ def test_sensitivity_matches_finite_difference():
         direction /= np.linalg.norm(direction)
         for m in Manifold:
             eig = sh.eigensystem(PARAMS, m, b0)
-            if eig.degenerate_pairs(tol_ghz=1e-6):
+            if np.min(np.diff(eig.energies)) < 1e-6:
                 continue
             for k in range(4):
                 analytic = sh.first_order_sensitivity(eig.states[:, k], direction,
@@ -274,7 +272,8 @@ def test_clock_dipole_along_c_only():
                                             PARAMS, Manifold.GROUND)
     # electron part g_par/2 plus the small nuclear correction
     expected = -(0.5 * PARAMS.g_ground.parallel
-                 + 0.5 * CONSTANTS.mu_n_over_mu_b * PARAMS.g_n)
+                 + 0.5 * CONSTANTS.mu_n_ghz_per_t / CONSTANTS.mu_b_ghz_per_t
+                 * PARAMS.g_n)
     assert along_c == pytest.approx(expected, abs=1e-12)
     assert abs(along_c) == pytest.approx(0.5267687696, abs=1e-9)
     for axis in ((1, 0, 0), (0, 1, 0)):
@@ -312,7 +311,16 @@ def test_clock_transitions_zero_field():
 
 
 def test_clock_protection_lifted_at_high_field():
-    assert sh.find_clock_transitions(PARAMS, (0.0, 0.0, 100.0)) == []
+    # at 100 mT along c every level pair, the zero-field clock pair (1, 4)
+    # included, has a differential slope along some axis
+    eig = sh.eigensystem(PARAMS, Manifold.GROUND, (0.0, 0.0, 100.0))
+    slopes = np.array([[sh.first_order_sensitivity(eig.state(k), axis, PARAMS,
+                                                   Manifold.GROUND)
+                        for axis in np.eye(3)] for k in range(1, 5)])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert np.max(np.abs(slopes[i] - slopes[j])) > 1e-6
+    assert abs(slopes[0, 2] - slopes[3, 2]) > 1.0
 
 
 def test_batched_energies_match_single_calls():
@@ -478,7 +486,7 @@ def _reference_dipole(params, manifold, direction):
     g = params.g(manifold)
     sx, sy, sz = sh.S_OPS
     ix, iy, iz = sh.I_OPS
-    nuclear = CONSTANTS.mu_n_over_mu_b * params.g_n
+    nuclear = CONSTANTS.mu_n_ghz_per_t / CONSTANTS.mu_b_ghz_per_t * params.g_n
     return -(g.perpendicular * (d[0] * sx + d[1] * sy) + g.parallel * d[2] * sz
              - nuclear * (d[0] * ix + d[1] * iy + d[2] * iz))
 
