@@ -94,17 +94,22 @@ def _svd_uncertainties(jac, sigma_sq):
 
 
 def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
-                  jacobian=None, names: tuple | None = None) -> FitResult:
+                  names: tuple | None = None) -> FitResult:
     """Levenberg-style damped least squares.
 
-    model(params) returns the prediction compared against `data`; the
-    residual is model(params) - data.  The damping parameter grows until a
-    step reduces the cost, so accepted iterations are monotone in the
-    residual norm.  Covariance comes from the SVD of J at the optimum
-    (see _svd_uncertainties), scaled by the residual variance.  A Jacobian
-    with a numerical null space is flagged "singular jacobian", each
-    parameter in that null space "<name> unidentifiable" with an infinite
-    uncertainty, and the fit does not count as converged.
+    model(params) returns the prediction compared against `data`, or the
+    pair (prediction, jacobian) with the exact (n_data, n_params) Jacobian
+    at params; the residual is prediction - data.  Each trial point is
+    evaluated once, and an accepted trial's Jacobian serves the next step.
+    A model that returns only the prediction gets forward differences,
+    taken at accepted points only and at most once per point.  The damping
+    parameter grows until a step reduces the cost, so accepted iterations
+    are monotone in the residual norm.  Covariance comes from the SVD of J
+    at the last accepted point (see _svd_uncertainties), scaled by the
+    residual variance.  A Jacobian with a numerical null space is flagged
+    "singular jacobian", each parameter in that null space
+    "<name> unidentifiable" with an infinite uncertainty, and the fit does
+    not count as converged.
     """
     params = np.asarray(initial, dtype=float).copy()
     data = np.asarray(data, dtype=float)
@@ -116,18 +121,18 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     names = names or tuple(f"p{k}" for k in range(params.size))
 
     def evaluate(p):
-        prediction = np.asarray(model(p), dtype=float)
+        """The residual at p and the model's Jacobian there, or None."""
+        out = model(p)
+        prediction, jac = out if isinstance(out, tuple) else (out, None)
+        prediction = np.asarray(prediction, dtype=float)
         if not np.all(np.isfinite(prediction)):
             raise ValidationError("model returned non-finite values")
-        return prediction - data
+        return prediction - data, None if jac is None else np.asarray(jac, dtype=float)
 
-    def jacobian_at(p, residual):
-        """The exact Jacobian if given, else forward differences."""
-        if jacobian is not None:
-            return np.asarray(jacobian(p), dtype=float)
-        return _forward_jacobian(lambda q: evaluate(q) + data, p, residual + data)
+    def differences(p, residual):
+        return _forward_jacobian(lambda q: evaluate(q)[0] + data, p, residual + data)
 
-    residual = evaluate(params)
+    residual, jac = evaluate(params)
     cost = float(residual @ residual)
     history = [cost]
     lam = 1e-3
@@ -135,7 +140,8 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
     iterations = 0
     singular = False
     for iterations in range(1, _MAX_ITER + 1):
-        jac = jacobian_at(params, residual)
+        if jac is None:
+            jac = differences(params, residual)
         gradient = jac.T @ residual
         if np.max(np.abs(gradient)) < tol * max(1.0, math.sqrt(cost)):
             converged = True
@@ -153,13 +159,14 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
             trial = params + delta
             if bounds is not None:
                 trial = np.clip(trial, lo, hi)
-            trial_residual = evaluate(trial)
+            trial_residual, trial_jac = evaluate(trial)
             trial_cost = float(trial_residual @ trial_residual)
             if trial_cost <= cost:
                 rel_drop = (cost - trial_cost) / max(cost, 1e-300)
                 step_size = np.max(np.abs(trial - params)
                                    / np.maximum(np.abs(params), 1e-12))
                 params, residual, cost = trial, trial_residual, trial_cost
+                jac = trial_jac
                 history.append(cost)
                 lam = max(lam / 3.0, 1e-14)
                 stepped = True
@@ -172,7 +179,8 @@ def least_squares(model, data, initial, bounds=None, tol: float = 1e-10,
         if singular or not stepped or converged:
             break
 
-    jac = jacobian_at(params, residual)
+    if jac is None:
+        jac = differences(params, residual)
     dof = max(data.size - params.size, 1)
     try:
         uncertainties, null = _svd_uncertainties(jac, cost / dof)
@@ -222,13 +230,10 @@ def fit_gaussian_line(x, y) -> FitResult:
     fwhm0 = max(fwhm0, (x[1] - x[0]) * 2)
 
     def model(p):
-        return gaussian_profile(x, *p)
-
-    def jac(p):
-        return gaussian_jacobian(x, *p)
+        jac = gaussian_jacobian(x, *p)
+        return p[3] + p[2] * jac[:, 2], jac     # column 2 is the unit profile
 
     result = least_squares(model, y, [center0, fwhm0, amp0, offset0],
-                           jacobian=jac,
                            names=("center", "fwhm", "amplitude", "offset"))
     if abs(result["amplitude"]) < 3.0 * result.uncertainty("amplitude"):
         result.flags = result.flags + ("low-confidence amplitude",)
@@ -255,15 +260,19 @@ def fit_echo_decay(tau_s, intensity) -> FitResult:
         raise ValidationError("need at least 4 delays")
     if not np.all(tau >= 0):
         raise ValidationError("delays must be non-negative")
+
+    def model(p):
+        jac = echo_decay_jacobian(tau, *p)
+        return p[0] * jac[:, 0], jac            # column 0 is the unit decay
+
     positive = y > 0
     if positive.sum() >= 2:
         slope, intercept = np.polyfit(tau[positive], np.log(y[positive]), 1)
     else:
         slope, intercept = -1.0, 0.0
     if slope >= 0:  # non-decaying data: flag and bail out with the raw guess
-        result = least_squares(lambda p: echo_decay_profile(tau, *p), y,
+        result = least_squares(model, y,
                                [max(y.max(), 1e-12), tau.max() * 10 + 1.0],
-                               jacobian=lambda p: echo_decay_jacobian(tau, *p),
                                names=("e0", "t2"))
         result.converged = False
         result.flags = result.flags + ("non-decaying data",)
@@ -271,12 +280,9 @@ def fit_echo_decay(tau_s, intensity) -> FitResult:
     t2_0 = -2.0 / slope
     e0_0 = math.exp(intercept)
 
-    result = least_squares(lambda p: echo_decay_profile(tau, *p), y,
-                           [e0_0, t2_0],
-                           bounds=[(0.0, np.inf), (1e-12, np.inf)],
-                           jacobian=lambda p: echo_decay_jacobian(tau, *p),
-                           names=("e0", "t2"))
-    return result
+    return least_squares(model, y, [e0_0, t2_0],
+                         bounds=[(0.0, np.inf), (1e-12, np.inf)],
+                         names=("e0", "t2"))
 
 
 # --- spin-lattice recovery ------------------------------------------------
@@ -456,19 +462,20 @@ def _sweep_lines(sweeps, params: SpinSystemParams, scales, derivatives: bool):
 
 
 def _sweep_model(sweeps, params: SpinSystemParams, p_vector,
-                 jacobian: bool = False) -> np.ndarray:
-    """Stacked model spectra of all sweeps, or their exact Jacobian.
+                 jacobian: bool = False):
+    """Stacked model spectra of all sweeps, and if asked their exact Jacobian.
 
     Every line has unit area and its isotope's FWHM spectra.SWEEP_FWHM_*;
     the 16 171Yb lines share amplitude_171, the four I = 0 lines
     amplitude_i0 / 4.  The spin Hamiltonian drops the nuclear Zeeman term,
     the convention used when fitting field sweeps.  With jacobian=True the
-    result is the (n_points, n_params) Jacobian: the amplitude and offset
-    columns come from the same Gaussian block as the model, and the g and
-    scale columns are the centre derivatives of _sweep_lines chained
-    through d/dcentre.  Every sweep's lines come from one _sweep_lines
-    call.  The output is allocated once and filled in passes of at most
-    _BLOCK_CELLS line-grid cells (one current at least).
+    result is the pair (model, jacobian), the Jacobian (n_points, n_params):
+    the model and the amplitude and offset columns come from the same
+    Gaussian block, and the g and scale columns are the centre derivatives
+    of _sweep_lines chained through d/dcentre.  The model has the same bits
+    either way.  Every sweep's lines come from one _sweep_lines call.  The
+    outputs are allocated once and filled in passes of at most _BLOCK_CELLS
+    line-grid cells (one current at least).
     """
     n_sweeps = len(sweeps)
     params = replace(params, g_excited=g_tensor(p_vector[0], p_vector[1]), g_n=0.0)
@@ -486,7 +493,8 @@ def _sweep_model(sweeps, params: SpinSystemParams, p_vector,
     line_amps[1, 16:] = area[16:] / 4.0
     weights = amplitudes @ line_amps
     total = sum(sweep.absorption.size for sweep in sweeps)
-    out = np.zeros((p_vector.size, total)) if jacobian else np.empty(total)
+    model = np.empty(total)
+    jac = np.zeros((p_vector.size, total)) if jacobian else None
     centres, slopes = _sweep_lines(sweeps, params, scales, jacobian)
     centres += offset
     start = row = 0
@@ -501,21 +509,21 @@ def _sweep_model(sweeps, params: SpinSystemParams, p_vector,
             u = x - centres[block, :, None]
             core = np.exp(-inv[:, None] * u * u)
             per_amp = line_amps @ core              # (b, 2, m)
+            model[cells] = (amplitudes @ per_amp).ravel()
             if not jacobian:
-                out[cells] = (amplitudes @ per_amp).ravel()
                 continue
             # d(model)/d(centre) of each line
             d_centre = (2.0 * weights * inv)[:, None] * u * core
             g_cols = slopes[block].transpose(0, 2, 1) @ d_centre
-            out[0, cells] = g_cols[:, 0].ravel()
-            out[1, cells] = g_cols[:, 1].ravel()
-            out[2 + s, cells] = g_cols[:, 2].ravel()
-            out[i_amp, cells] = per_amp[:, 0].ravel()
-            out[i_amp + 1, cells] = per_amp[:, 1].ravel()
-            out[i_offset, cells] = d_centre.sum(axis=1).ravel()
+            jac[0, cells] = g_cols[:, 0].ravel()
+            jac[1, cells] = g_cols[:, 1].ravel()
+            jac[2 + s, cells] = g_cols[:, 2].ravel()
+            jac[i_amp, cells] = per_amp[:, 0].ravel()
+            jac[i_amp + 1, cells] = per_amp[:, 1].ravel()
+            jac[i_offset, cells] = d_centre.sum(axis=1).ravel()
         start += n * m
         row += n
-    return out.T if jacobian else out
+    return (model, jac.T) if jacobian else model
 
 
 def simulate_current_sweep(params: SpinSystemParams, axis, currents_a,
@@ -560,7 +568,6 @@ def fit_field_sweep(sweeps, spec: FieldSweepFitSpec,
              + [f"scale_{k}" for k in range(len(sweeps))]
              + ["amplitude_171", "amplitude_i0", "offset_ghz"])
     return least_squares(
-        lambda p: _sweep_model(sweeps, params, p), data, initial,
-        jacobian=lambda p: _sweep_model(sweeps, params, p, jacobian=True),
+        lambda p: _sweep_model(sweeps, params, p, jacobian=True), data, initial,
         names=tuple(names), tol=1e-12)
 

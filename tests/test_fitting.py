@@ -12,6 +12,18 @@ from ybcawo4.params import Manifold, default_params, g_tensor
 PARAMS = default_params()
 
 
+def _rejected_trials(costs):
+    """Trials after the first evaluation whose cost exceeds the cost of the
+    point they started from, i.e. those least_squares rejects."""
+    current, rejected = costs[0], 0
+    for cost in costs[1:]:
+        if cost <= current:
+            current = cost
+        else:
+            rejected += 1
+    return rejected
+
+
 class TestLeastSquaresEngine:
     def test_linear_model_exact_recovery(self):
         x = np.linspace(0, 1, 20)
@@ -61,6 +73,56 @@ class TestLeastSquaresEngine:
     def test_initial_outside_bounds_rejected(self):
         with pytest.raises(ValidationError):
             ft.least_squares(lambda p: p, np.zeros(1), [3.0], bounds=[(0, 1)])
+
+    # decay: rejected trials on the way to a smooth optimum.  growth: the
+    # best rate of p0 exp(-|k| x) is the kink k = 0, where every step crosses
+    # the kink and raises the cost; with tol = 0 nothing else stops the fit,
+    # so it ends on rejected trials
+    @pytest.mark.parametrize("y_of_x,start,tol,ends_rejected", [
+        (lambda x: 2.0 * np.exp(-1.3 * x)
+         + np.random.default_rng(1).normal(0, 0.01, x.size), [10.0, 3.0], 1e-10, False),
+        (lambda x: np.exp(0.2 * x), [1.0, 0.5], 0.0, True)], ids=["decay", "growth"])
+    def test_rejected_trials_never_supply_a_jacobian(self, y_of_x, start, tol,
+                                                     ends_rejected):
+        x = np.linspace(0, 4, 50)
+        y = y_of_x(x)
+
+        def exact_jacobian(p):
+            core = np.exp(-abs(p[1]) * x)
+            return np.column_stack([core, -np.sign(p[1]) * p[0] * x * core])
+
+        costs = []
+
+        def model(p):
+            prediction = p[0] * np.exp(-abs(p[1]) * x)
+            residual = prediction - y
+            costs.append(float(residual @ residual))
+            return prediction, exact_jacobian(p)
+
+        result = ft.least_squares(model, y, start, tol=tol)
+        assert _rejected_trials(costs) > 0
+        assert (costs[-1] > result.cost_history[-1]) == ends_rejected
+        expected, _ = ft._svd_uncertainties(exact_jacobian(result.values),
+                                            result.cost_history[-1] / (x.size - 2))
+        assert np.array_equal(result.uncertainties, expected)
+
+    def test_forward_differences_once_per_accepted_point(self, monkeypatch):
+        # this fit stops on the gradient test, at a point whose differences
+        # were already taken for the step that test refused
+        x = np.linspace(0, 1, 20)
+        points = []
+        forward = ft._forward_jacobian
+
+        def counted(model, params, f0):
+            points.append(params.tobytes())
+            return forward(model, params, f0)
+
+        monkeypatch.setattr(ft, "_forward_jacobian", counted)
+        result = ft.least_squares(lambda p: p[0] * x**2 + p[1] * x + p[2],
+                                  1.2 * x**2 - 0.7 * x + 0.3, [1.0, 1.0, 1.0])
+        assert result.converged
+        assert len(points) == len(set(points))
+        assert len(points) == len(result.cost_history)
 
     def test_center_within_two_sigma_in_most_trials(self):
         x = np.linspace(-3, 3, 101)
@@ -302,6 +364,37 @@ class TestFieldSweepFit:
         result = ft.fit_field_sweep(noisy, spec, params)
         assert abs(result["scale_0"] / 143.63 - 1) < 0.01
 
+    def test_each_trial_point_is_evaluated_once(self, monkeypatch):
+        params = default_params("field-sweep-fit")
+        rng = np.random.default_rng(5)
+        sweeps = []
+        for axis, scale in (((1, 0, 0), 166.2), ((0, 0, 1), 143.6)):
+            sweep = ft.simulate_current_sweep(params, axis, np.linspace(1.0, 9.0, 5),
+                                              scale, (-4.0, 4.5, 120))
+            sweeps.append(ft.SweepData(
+                sweep.currents_a, sweep.axis, sweep.detuning_ghz,
+                sweep.absorption + rng.normal(0, 0.02 * sweep.absorption.max(),
+                                              sweep.absorption.shape)))
+        data = np.concatenate([sweep.absorption.reshape(-1) for sweep in sweeps])
+        points, costs = [], []
+        sweep_model = ft._sweep_model
+
+        def recorded(*args, **kwargs):
+            out = sweep_model(*args, **kwargs)
+            residual = out[0] - data
+            points.append(args[2].tobytes())
+            costs.append(float(residual @ residual))
+            return out
+
+        monkeypatch.setattr(ft, "_sweep_model", recorded)
+        result = ft.fit_field_sweep(sweeps, ft.FieldSweepFitSpec(
+            g_e_parallel=-1.40, g_e_perpendicular=1.34,
+            scales_g_per_a=(162.0, 148.0)), params)
+        assert result.converged
+        assert len(points) == len(set(points))
+        # the start and each accepted step (cost_history), each rejected trial
+        assert len(points) == len(result.cost_history) + _rejected_trials(costs)
+
     def test_scale_count_must_match(self):
         params = default_params()
         sweep = ft.simulate_current_sweep(params, (1, 0, 0),
@@ -460,7 +553,7 @@ class TestBatchedSweepModel:
         sweeps = [_blank_sweep(SWEEP_AXES[name], currents)
                   for name in ("a", "c", "oblique")]
         p = _sweep_p_vector(3)
-        jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
+        _, jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
         assert jac.shape == (sum(s.absorption.size for s in sweeps), p.size)
 
         def central(k, h):
@@ -489,10 +582,14 @@ class TestBatchedSweepModel:
         sweeps = [_blank_sweep(SWEEP_AXES["oblique"], np.linspace(0.5, 10.0, 9))]
         p = _sweep_p_vector(1)
         one = ft._sweep_model(sweeps, self.PARAMS, p)
-        one_jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
+        one_beside, one_jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
         monkeypatch.setattr(ft, "_BLOCK_CELLS", 4 * 20 * 240)
         many = ft._sweep_model(sweeps, self.PARAMS, p)
-        many_jac = ft._sweep_model(sweeps, self.PARAMS, p, jacobian=True)
+        many_beside, many_jac = ft._sweep_model(sweeps, self.PARAMS, p,
+                                                jacobian=True)
+        # the model returned beside the Jacobian is the plain model, bit for bit
+        assert np.array_equal(one_beside, one)
+        assert np.array_equal(many_beside, many)
         assert np.allclose(many, one, rtol=0, atol=1e-13 * np.max(one))
         assert np.allclose(many_jac, one_jac, rtol=0,
                            atol=1e-13 * np.max(np.abs(one_jac)))
@@ -503,11 +600,11 @@ class TestIdentifiability:
         x = np.linspace(0, 4, 50)
         rng = np.random.default_rng(1)
         y = 2.0 * np.exp(-1.3 * x) + rng.normal(0, 0.01, x.size)
-        result = ft.least_squares(lambda p: p[0] * np.exp(-p[1] * x), y,
-                                  [1.0, 0.5],
-                                  jacobian=lambda p: np.column_stack(
-                                      [np.exp(-p[1] * x),
-                                       -p[0] * x * np.exp(-p[1] * x)]))
+        result = ft.least_squares(lambda p: (p[0] * np.exp(-p[1] * x),
+                                             np.column_stack(
+                                                 [np.exp(-p[1] * x),
+                                                  -p[0] * x * np.exp(-p[1] * x)])),
+                                  y, [1.0, 0.5])
         p = result.values
         jac = np.column_stack([np.exp(-p[1] * x), -p[0] * x * np.exp(-p[1] * x)])
         sigma_sq = result.residual_norm ** 2 / (x.size - 2)
