@@ -139,7 +139,18 @@ def _write_manifest(config: RunConfig, command: str, outputs, started: float) ->
         handle.write("\n")
 
 
-def _number_list(raw: str, option: str, form: str, kinds) -> list:
+# --- option checks: each takes an option's flag and its parsed value, and
+# returns the value the runner reads or raises ValidationError naming the flag
+
+def _checked(check, *limits):
+    """The table check that runs an errors.check_* and passes the value on."""
+    def run(option: str, value):
+        check(option, value, *limits)
+        return value
+    return run
+
+
+def _number_list(option: str, raw: str, form: str, kinds) -> list:
     """The comma-separated entries of an option value, entry k converted by
     kinds[k]; a wrong count or a bad or non-finite entry is named by option."""
     parts = raw.split(",")
@@ -154,24 +165,29 @@ def _number_list(raw: str, option: str, form: str, kinds) -> list:
     raise ValidationError(f"{option} must be {form}, got {raw!r}")
 
 
-def _grid_from_arg(raw: str):
-    return tuple(_number_list(raw, "--grid", "min,max,points with integer points",
+def _grid(option: str, raw: str) -> tuple:
+    return tuple(_number_list(option, raw, "min,max,points with integer points",
                               (float, float, int)))
 
 
-def _axis_from_arg(raw: str) -> np.ndarray:
-    named = {"a": (1.0, 0.0, 0.0), "b": (0.0, 1.0, 0.0), "c": (0.0, 0.0, 1.0)}
-    if raw in named:
-        return np.array(named[raw])
+def _axis(option: str, raw: str) -> np.ndarray:
     form = "a, b, c or three components, not all zero"
-    parts = _number_list(raw, "--axis", form, (float,) * 3)
+    named = {"a": "1,0,0", "b": "0,1,0", "c": "0,0,1"}
+    parts = _number_list(option, named.get(raw, raw), form, (float,) * 3)
     if not np.linalg.norm(parts):
-        raise ValidationError(f"--axis must be {form}, got {raw!r}")
+        raise ValidationError(f"{option} must be {form}, got {raw!r}")
     return np.asarray(parts) / np.linalg.norm(parts)
 
 
-def _field_from_arg(raw: str) -> np.ndarray:
-    return np.asarray(_number_list(raw, "--field", "bx,by,bz in mT", (float,) * 3))
+def _field(option: str, raw: str) -> np.ndarray:
+    return np.asarray(_number_list(option, raw, "bx,by,bz in mT", (float,) * 3))
+
+
+def _pair(form: str):
+    """Two numbers, or None for an empty value: the option not given."""
+    def check(option: str, raw: str):
+        return _number_list(option, raw, form, (float, float)) if raw else None
+    return check
 
 
 # --- subcommand implementations -------------------------------------------
@@ -179,8 +195,7 @@ def _field_from_arg(raw: str) -> np.ndarray:
 def _cmd_levels(config: RunConfig, args) -> list[Path]:
     rows = []
     for manifold in Manifold:
-        eig = spinham.eigensystem(config.params, manifold,
-                                  _field_from_arg(args.field))
+        eig = spinham.eigensystem(config.params, manifold, args.field)
         for index in range(4):
             rows.append([manifold.value, index + 1, eig.energies[index]])
     out = config.out_dir / "levels.csv"
@@ -197,16 +212,13 @@ def _cmd_levels(config: RunConfig, args) -> list[Path]:
 
 def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
     weights = None if args.pol == "uniform" else args.pol
-    lines = spectra.transition_catalog(config.params, _field_from_arg(args.field),
-                                       weights=weights)
+    lines = spectra.transition_catalog(config.params, args.field, weights=weights)
     fwhm_mhz = config.params.fwhm_optical_mhz
     spectrum = spectra.synthesize_spectrum(
-        [ln for ln in lines if ln.isotope == "171Yb"], fwhm_mhz,
-        _grid_from_arg(args.grid))
+        [ln for ln in lines if ln.isotope == "171Yb"], fwhm_mhz, args.grid)
     i0 = [ln for ln in lines if ln.isotope == "I0"]
     if i0:
-        extra = spectra.synthesize_spectrum(i0, fwhm_mhz,
-                                            _grid_from_arg(args.grid))
+        extra = spectra.synthesize_spectrum(i0, fwhm_mhz, args.grid)
         spectrum = spectra.Spectrum(spectrum.detuning_ghz,
                                     spectrum.absorption + extra.absorption)
     out = config.out_dir / "spectrum.csv"
@@ -227,13 +239,9 @@ def _cmd_spectrum(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_sweep(config: RunConfig, args) -> list[Path]:
-    check_finite("--b-start", args.b_start)
-    check_finite("--b-stop", args.b_stop)
-    check_count("--steps", args.steps, 2)
     fields = np.linspace(args.b_start, args.b_stop, args.steps)
     weights = None if args.pol == "uniform" else args.pol
-    sweep = spectra.field_sweep_map(config.params, _axis_from_arg(args.axis),
-                                    fields, _grid_from_arg(args.grid),
+    sweep = spectra.field_sweep_map(config.params, args.axis, fields, args.grid,
                                     weights=weights,
                                     mixed_weights=args.mixed_weights,
                                     fwhm_171_mhz=args.fwhm_171_mhz,
@@ -264,9 +272,6 @@ def _cmd_epr(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_rosette(config: RunConfig, args) -> list[Path]:
-    check_finite("--angle-start", args.angle_start)
-    check_finite("--angle-stop", args.angle_stop)
-    check_count("--angle-steps", args.angle_steps, 2)
     angles = np.linspace(args.angle_start, args.angle_stop, args.angle_steps)
     rosette = spectra.angular_rosette(config.params, args.plane, angles,
                                       args.freq_ghz,
@@ -296,7 +301,7 @@ def _cmd_rules(config: RunConfig, args) -> list[Path]:
 def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
     rows = []
     if args.coeffs:
-        a, b = _number_list(args.coeffs, "--coeffs", "A,B", (float, float))
+        a, b = args.coeffs
         coeffs = grouptheory.DoubletCoefficients.normalized(
             a, b, j=args.j, family=args.family, order=args.order)
         g_par, g_perp = grouptheory.doublet_g_factors(coeffs)
@@ -310,8 +315,7 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
         print(f"relation predicts |g_perp| = {predicted:.6f} "
               f"for g_parallel = {args.consistency}")
     if args.jmix_targets:
-        t_par, t_perp = _number_list(args.jmix_targets, "--jmix-targets",
-                                     "G_PAR,G_PERP", (float, float))
+        t_par, t_perp = args.jmix_targets
         try:
             coeffs = grouptheory.fit_j_mixing(t_par, t_perp)
         except NumericalError as err:
@@ -331,9 +335,6 @@ def _cmd_gfactor(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_dynamics(config: RunConfig, args) -> list[Path]:
-    check_finite("--t-min", args.t_min)
-    check_finite("--t-max", args.t_max)
-    check_count("--steps", args.steps, 1)
     temperatures = np.linspace(args.t_min, args.t_max, args.steps)
     t2 = dynamics.t2_vs_temperature(config.params, temperatures, args.mode)
     out = config.out_dir / "t2_curve.csv"
@@ -386,7 +387,6 @@ def _cmd_budget(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_pump(config: RunConfig, args) -> list[Path]:
-    check_count("--max-rows", args.max_rows, 1)
     pump_config = dynamics.PumpConfig(duration_s=args.duration,
                                       temperature_k=args.temperature)
     result = dynamics.pump_simulation(pump_config, config.params)
@@ -404,24 +404,22 @@ def _cmd_pump(config: RunConfig, args) -> list[Path]:
 
 
 def _cmd_fit(config: RunConfig, args) -> list[Path]:
-    outputs = []
-    if args.model == "gaussian":
-        data = csvio.read_measurement_csv(args.data[0], "spectrum")
+    if args.model != "sweep":
+        data = csvio.read_measurement_csv(
+            args.data[0], "spectrum" if args.model == "gaussian" else args.model)
         config.input_files.append(Path(args.data[0]))
+    if args.model == "gaussian":
         result = fitting.fit_gaussian_line(data["detuning_GHz"],
                                            data["absorption"])
     elif args.model == "decay":
-        data = csvio.read_measurement_csv(args.data[0], "decay")
-        config.input_files.append(Path(args.data[0]))
         result = fitting.fit_echo_decay(data["tau_s"], data["intensity"])
     elif args.model == "recovery":
-        data = csvio.read_measurement_csv(args.data[0], "recovery")
-        config.input_files.append(Path(args.data[0]))
         populations = np.column_stack([data[f"n{g}g"] for g in GROUND_GROUPS])
         result = fitting.fit_slr_recovery(
             data["delay_s"], populations,
             dynamics.ground_group_energies(config.params))
-    elif args.model == "sweep":
+    else:
+        # not table checks: the other models ignore --scale-init and --axis
         check_positive("--scale-init", args.scale_init)
         if len(args.data) != len(args.axis):
             raise ValidationError("pass one --axis per --data sweep file")
@@ -435,13 +433,11 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
                 raise ValidationError(
                     f"{path}: sweep blocks must share one detuning grid")
             block = table["absorption"].reshape(currents.size, grid.size)
-            sweeps.append(fitting.SweepData(currents, _axis_from_arg(axis),
+            sweeps.append(fitting.SweepData(currents, _axis("--axis", axis),
                                             grid, block))
         spec = fitting.FieldSweepFitSpec(
             scales_g_per_a=tuple(args.scale_init for _ in sweeps))
         result = fitting.fit_field_sweep(sweeps, spec, config.params)
-    else:
-        raise ValidationError(f"unknown fit model {args.model!r}")
     print(result.describe())
     if not result.converged:
         reason = "; ".join(result.flags) or "no flags raised"
@@ -450,23 +446,7 @@ def _cmd_fit(config: RunConfig, args) -> list[Path]:
     csvio.write_rows(out, ["name", "value", "uncertainty"],
                      [[n, v, u] for n, v, u in
                       zip(result.names, result.values, result.uncertainties)])
-    outputs.append(out)
-    return outputs
-
-
-_SUBCOMMANDS = {
-    "levels": _cmd_levels,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "epr": _cmd_epr,
-    "rosette": _cmd_rosette,
-    "rules": _cmd_rules,
-    "gfactor": _cmd_gfactor,
-    "dynamics": _cmd_dynamics,
-    "budget": _cmd_budget,
-    "pump": _cmd_pump,
-    "fit": _cmd_fit,
-}
+    return [out]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -485,6 +465,94 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\.?\d[\d.eE+,-]*|inf(inity)?|nan)$", re.IGNORECASE)
 
 
+def _opt(flag: str, check=None, **keywords) -> tuple:
+    """One option: its flag, the check of its value, its add_argument keywords."""
+    return flag, check, keywords
+
+
+_POLS = ("uniform", "sigma", "pi", "alpha")
+
+# Every subcommand, declared once: name -> (help line, runner, options).
+# main replaces the value of each checked option by what its check returns.
+_SUBCOMMANDS = {
+    "levels": ("energy levels and the clock splitting", _cmd_levels, [
+        _opt("--field", _field, default="0,0,0", help="static field bx,by,bz in mT"),
+    ]),
+    "spectrum": ("zero-field or fixed-field spectrum", _cmd_spectrum, [
+        _opt("--pol", default="uniform", choices=_POLS),
+        _opt("--field", _field, default="0,0,0"),
+        _opt("--grid", _grid, default="-3.2,4.2,2001"),
+    ]),
+    "sweep": ("absorption map over a field sweep", _cmd_sweep, [
+        _opt("--axis", _axis, default="a"),
+        _opt("--b-start", _checked(check_finite), type=float, default=0.0),
+        _opt("--b-stop", _checked(check_finite), type=float, default=200.0),
+        _opt("--steps", _checked(check_count, 2), type=int, default=21),
+        _opt("--pol", default="uniform", choices=_POLS),
+        _opt("--mixed-weights", action="store_true"),
+        _opt("--grid", _grid, default="-4.5,5.0,1500"),
+        _opt("--fwhm-171-mhz", type=float, default=spectra.SWEEP_FWHM_171_MHZ),
+        _opt("--fwhm-i0-mhz", type=float, default=spectra.SWEEP_FWHM_I0_MHZ),
+    ]),
+    "epr": ("EPR resonance fields at one orientation", _cmd_epr, [
+        _opt("--freq-ghz", type=float, default=9.4),
+        _opt("--theta", type=float, default=90.0,
+             help="angle from the c axis, degrees"),
+        _opt("--phi", type=float, default=0.0),
+        _opt("--b-min", type=float, default=10.0),
+        _opt("--b-max", type=float, default=900.0),
+    ]),
+    "rosette": ("resonance fields versus rotation angle", _cmd_rosette, [
+        _opt("--plane", default="c-a", choices=("c-a", "a-b")),
+        _opt("--angle-start", _checked(check_finite), type=float, default=0.0),
+        _opt("--angle-stop", _checked(check_finite), type=float, default=180.0),
+        _opt("--angle-steps", _checked(check_count, 2), type=int, default=19),
+        _opt("--freq-ghz", type=float, default=9.4),
+        _opt("--b-min", type=float, default=10.0),
+        _opt("--b-max", type=float, default=900.0),
+    ]),
+    "rules": ("hyperfine selection-rule tables", _cmd_rules, [
+        _opt("--assignment", default=grouptheory.DEFAULT_ASSIGNMENT,
+             choices=sorted(grouptheory.ASSIGNMENTS)),
+    ]),
+    "gfactor": ("doublet g factors and J mixing", _cmd_gfactor, [
+        _opt("--coeffs", _pair("A,B"), default="", metavar="A,B"),
+        _opt("--j", type=float, default=3.5, choices=(2.5, 3.5)),
+        _opt("--family", default="G56"),
+        _opt("--order", default="upper", choices=("upper", "lower")),
+        _opt("--consistency", type=float, default=None, metavar="G_PARALLEL"),
+        _opt("--jmix-targets", _pair("G_PAR,G_PERP"), default="",
+             metavar="G_PAR,G_PERP"),
+    ]),
+    "dynamics": ("predicted T2 versus temperature", _cmd_dynamics, [
+        _opt("--mode", default="spin", choices=("spin", "optical")),
+        _opt("--t-min", _checked(check_finite), type=float, default=0.05),
+        _opt("--t-max", _checked(check_finite), type=float, default=4.0),
+        _opt("--steps", _checked(check_count, 1), type=int, default=40),
+    ]),
+    "budget": ("coherence budgets and their inversion", _cmd_budget, [
+        _opt("--mode", default="spin", choices=("spin", "optical")),
+        _opt("--t2", type=float, default=None,
+             help="measured T2 in s: infer the flip-flop rate"),
+    ]),
+    "pump": ("optical pumping population trajectories", _cmd_pump, [
+        _opt("--duration", type=float, default=0.3),
+        _opt("--temperature", type=float, default=0.05),
+        _opt("--max-rows", _checked(check_count, 1), type=int, default=400),
+    ]),
+    "fit": ("least-squares fits of measurement CSVs", _cmd_fit, [
+        _opt("--model", required=True,
+             choices=("gaussian", "decay", "recovery", "sweep")),
+        _opt("--data", action="append", required=True,
+             help="input CSV (repeatable for sweep fits)"),
+        _opt("--axis", action="append", default=[],
+             help="sweep axis per data file (sweep model)"),
+        _opt("--scale-init", type=float, default=160.0,
+             help="starting current-to-field scale, G/A"),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ybcawo4",
@@ -497,95 +565,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", default="yb171-cawo4", choices=PRESET_NAMES)
     parser.add_argument("--out", type=Path, default=Path("ybcawo4-out"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("levels", help="energy levels and the clock splitting")
-    p.add_argument("--field", default="0,0,0", help="static field bx,by,bz in mT")
-
-    p = sub.add_parser("spectrum", help="zero-field or fixed-field spectrum")
-    p.add_argument("--pol", default="uniform",
-                   choices=("uniform", "sigma", "pi", "alpha"))
-    p.add_argument("--field", default="0,0,0")
-    p.add_argument("--grid", default="-3.2,4.2,2001")
-
-    p = sub.add_parser("sweep", help="absorption map over a field sweep")
-    p.add_argument("--axis", default="a")
-    p.add_argument("--b-start", type=float, default=0.0)
-    p.add_argument("--b-stop", type=float, default=200.0)
-    p.add_argument("--steps", type=int, default=21)
-    p.add_argument("--pol", default="uniform",
-                   choices=("uniform", "sigma", "pi", "alpha"))
-    p.add_argument("--mixed-weights", action="store_true")
-    p.add_argument("--grid", default="-4.5,5.0,1500")
-    p.add_argument("--fwhm-171-mhz", type=float,
-                   default=spectra.SWEEP_FWHM_171_MHZ)
-    p.add_argument("--fwhm-i0-mhz", type=float, default=spectra.SWEEP_FWHM_I0_MHZ)
-
-    p = sub.add_parser("epr", help="EPR resonance fields at one orientation")
-    p.add_argument("--freq-ghz", type=float, default=9.4)
-    p.add_argument("--theta", type=float, default=90.0,
-                   help="angle from the c axis, degrees")
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--b-min", type=float, default=10.0)
-    p.add_argument("--b-max", type=float, default=900.0)
-
-    p = sub.add_parser("rosette", help="resonance fields versus rotation angle")
-    p.add_argument("--plane", default="c-a", choices=("c-a", "a-b"))
-    p.add_argument("--angle-start", type=float, default=0.0)
-    p.add_argument("--angle-stop", type=float, default=180.0)
-    p.add_argument("--angle-steps", type=int, default=19)
-    p.add_argument("--freq-ghz", type=float, default=9.4)
-    p.add_argument("--b-min", type=float, default=10.0)
-    p.add_argument("--b-max", type=float, default=900.0)
-
-    p = sub.add_parser("rules", help="hyperfine selection-rule tables")
-    p.add_argument("--assignment", default=grouptheory.DEFAULT_ASSIGNMENT,
-                   choices=sorted(grouptheory.ASSIGNMENTS))
-
-    p = sub.add_parser("gfactor", help="doublet g factors and J mixing")
-    p.add_argument("--coeffs", default=None, metavar="A,B")
-    p.add_argument("--j", type=float, default=3.5, choices=(2.5, 3.5))
-    p.add_argument("--family", default="G56")
-    p.add_argument("--order", default="upper", choices=("upper", "lower"))
-    p.add_argument("--consistency", type=float, default=None,
-                   metavar="G_PARALLEL")
-    p.add_argument("--jmix-targets", default=None, metavar="G_PAR,G_PERP")
-
-    p = sub.add_parser("dynamics", help="predicted T2 versus temperature")
-    p.add_argument("--mode", default="spin", choices=("spin", "optical"))
-    p.add_argument("--t-min", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=4.0)
-    p.add_argument("--steps", type=int, default=40)
-
-    p = sub.add_parser("budget", help="coherence budgets and their inversion")
-    p.add_argument("--mode", default="spin", choices=("spin", "optical"))
-    p.add_argument("--t2", type=float, default=None,
-                   help="measured T2 in s: infer the flip-flop rate")
-
-    p = sub.add_parser("pump", help="optical pumping population trajectories")
-    p.add_argument("--duration", type=float, default=0.3)
-    p.add_argument("--temperature", type=float, default=0.05)
-    p.add_argument("--max-rows", type=int, default=400)
-
-    p = sub.add_parser("fit", help="least-squares fits of measurement CSVs")
-    p.add_argument("--model", required=True,
-                   choices=("gaussian", "decay", "recovery", "sweep"))
-    p.add_argument("--data", action="append", required=True,
-                   help="input CSV (repeatable for sweep fits)")
-    p.add_argument("--axis", action="append", default=[],
-                   help="sweep axis per data file (sweep model)")
-    p.add_argument("--scale-init", type=float, default=160.0,
-                   help="starting current-to-field scale, G/A")
+    for command, (help_line, _, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag, _, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, run, options = _SUBCOMMANDS[args.command]
     started = time.time()
     try:
         config = parse_config(args.config, args.set, args.preset, args.out)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = _SUBCOMMANDS[args.command](config, args)
+        for flag, check, _ in options:
+            if check is not None:
+                dest = flag[2:].replace("-", "_")
+                setattr(args, dest, check(flag, getattr(args, dest)))
+        outputs = run(config, args)
         _write_manifest(config, args.command, outputs, started)
     except (ValidationError, DomainError) as err:
         print(f"error ({args.command}): {err}", file=sys.stderr)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import re
@@ -368,33 +367,54 @@ class TestMalformedOptionValues:
     """A malformed value exits 1 with a named error line, not a traceback."""
 
     CASES = [
-        (["spectrum", "--grid=-3,4,2.5"], "spectrum", "--grid"),
-        (["spectrum", "--grid", "-3,4"], "spectrum", "--grid"),
-        (["levels", "--field", "a,b,c"], "levels", "--field"),
-        (["levels", "--field", "1,2"], "levels", "--field"),
-        (["sweep", "--axis", "x,y,z"], "sweep", "--axis"),
-        (["sweep", "--axis", "0,0,0"], "sweep", "--axis"),
-        (["gfactor", "--coeffs", "0.7"], "gfactor", "--coeffs"),
-        (["gfactor", "--coeffs", "0.7,b"], "gfactor", "--coeffs"),
-        (["gfactor", "--jmix-targets", "1.2"], "gfactor", "--jmix-targets"),
-        (["rosette", "--angle-stop", "inf"], "rosette", "--angle-stop"),
-        (["rosette", "--angle-start", "nan"], "rosette", "--angle-start"),
-        (["rosette", "--angle-steps", "-1"], "rosette", "--angle-steps"),
-        (["sweep", "--steps", "-1"], "sweep", "--steps"),
-        (["dynamics", "--steps", "0"], "dynamics", "--steps"),
-        (["dynamics", "--steps", "-1"], "dynamics", "--steps"),
-        (["pump", "--max-rows", "0"], "pump", "--max-rows"),
-        (["gfactor", "--jmix-targets", "1.2,1.3,1.4"], "gfactor",
-         "--jmix-targets"),
+        (["spectrum", "--grid=-3,4,2.5"],
+         "error (spectrum): --grid must be min,max,points with integer points, "
+         "got '-3,4,2.5'"),
+        (["spectrum", "--grid", "-3,4"],
+         "error (spectrum): --grid must be min,max,points with integer points, "
+         "got '-3,4'"),
+        (["levels", "--field", "a,b,c"],
+         "error (levels): --field must be bx,by,bz in mT, got 'a,b,c'"),
+        (["levels", "--field", "1,2"],
+         "error (levels): --field must be bx,by,bz in mT, got '1,2'"),
+        (["sweep", "--axis", "x,y,z"],
+         "error (sweep): --axis must be a, b, c or three components, not all "
+         "zero, got 'x,y,z'"),
+        (["sweep", "--axis", "0,0,0"],
+         "error (sweep): --axis must be a, b, c or three components, not all "
+         "zero, got '0,0,0'"),
+        (["gfactor", "--coeffs", "0.7"],
+         "error (gfactor): --coeffs must be A,B, got '0.7'"),
+        (["gfactor", "--coeffs", "0.7,b"],
+         "error (gfactor): --coeffs must be A,B, got '0.7,b'"),
+        (["gfactor", "--jmix-targets", "1.2"],
+         "error (gfactor): --jmix-targets must be G_PAR,G_PERP, got '1.2'"),
+        (["rosette", "--angle-stop", "inf"],
+         "error (rosette): --angle-stop must be finite"),
+        (["rosette", "--angle-start", "nan"],
+         "error (rosette): --angle-start must be finite"),
+        (["rosette", "--angle-steps", "-1"],
+         "error (rosette): --angle-steps must be at least 2"),
+        (["sweep", "--steps", "-1"], "error (sweep): --steps must be at least 2"),
+        (["dynamics", "--steps", "0"],
+         "error (dynamics): --steps must be at least 1"),
+        (["dynamics", "--steps", "-1"],
+         "error (dynamics): --steps must be at least 1"),
+        (["pump", "--max-rows", "0"], "error (pump): --max-rows must be at least 1"),
+        (["gfactor", "--jmix-targets", "1.2,1.3,1.4"],
+         "error (gfactor): --jmix-targets must be G_PAR,G_PERP, got '1.2,1.3,1.4'"),
     ]
 
-    @pytest.mark.parametrize("argv,command,option", CASES,
-                             ids=[" ".join(c[0]) for c in CASES])
-    def test_named_error(self, tmp_path, capsys, argv, command, option):
+    @pytest.mark.parametrize("argv,line", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_named_error(self, tmp_path, capsys, argv, line):
         assert run_cli("--out", tmp_path / "bad", *argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error ({command}): {option} must be")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_gfactor_without_a_mode_is_a_named_error(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path / "o", "gfactor") == 1
+        assert capsys.readouterr().err == (
+            "error (gfactor): gfactor needs --coeffs, --consistency or "
+            "--jmix-targets\n")
 
     EPR_CASES = [
         (["epr", "--freq-ghz", "nan"], "frequency must be finite"),
@@ -708,7 +728,7 @@ _FUZZ_BASE = {
     "gfactor": ["--consistency", "1"], "dynamics": ["--steps", "3"],
     "budget": [], "pump": ["--duration", "0.01", "--max-rows", "5"],
 }
-# Comma-list options and a valid value of each; one entry at a time is fuzzed.
+# A valid value of each comma-list option; one entry at a time is fuzzed.
 _FUZZ_LISTS = {
     ("levels", "--field"): "0,0,0", ("spectrum", "--field"): "0,0,0",
     ("spectrum", "--grid"): "-3,4,101", ("sweep", "--grid"): "-4.5,5,60",
@@ -727,30 +747,30 @@ _NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
 
 def _fuzz_option_cases():
-    """(argv, names): every numeric option of every subcommand but fit, at
-    each edge value; an exit-1 error must contain one of the names."""
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
+    """(argv, names): every numeric and comma-list option of every subcommand
+    but fit, from cli._SUBCOMMANDS, at each edge value; an exit-1 error must
+    contain one of the names."""
     cases = []
     for command, base in _FUZZ_BASE.items():
         variants = [[command]]
         if command == "budget":
             variants.append([command, "--mode", "optical"])
-        for action in subparsers.choices[command]._actions:
-            option = action.option_strings[-1] if action.option_strings else None
-            if action.type not in (int, float) and (command, option) not in _FUZZ_LISTS:
-                continue
-            names = (option, option[2:], action.dest,
-                     str(action.metavar or option).lower(),
-                     _FUZZ_QUANTITY.get(option, option))
-            if action.type is int:
+        _, _, options = cli._SUBCOMMANDS[command]
+        for option, check, keywords in options:
+            kind = keywords.get("type")
+            if kind is int:
                 values = _FUZZ_COUNTS
-            elif action.type is float:
+            elif kind is float:
                 values = _FUZZ_FLOATS
-            else:
+            elif check is not None:
                 valid = _FUZZ_LISTS[(command, option)].split(",")
                 values = [",".join(valid[:k] + [v] + valid[k + 1:])
                           for k in range(len(valid)) for v in _FUZZ_FLOATS]
+            else:
+                continue
+            names = (option, option[2:], option[2:].replace("-", "_"),
+                     keywords.get("metavar", option).lower(),
+                     _FUZZ_QUANTITY.get(option, option))
             cases += [(variant + base + [f"{option}={value}"], names)
                       for variant in variants for value in values]
     return cases

@@ -60,6 +60,7 @@ COMMANDS = [
     ["budget"],
     ["budget", "--t2", "0.15"],
     ["budget", "--mode", "optical"],
+    ["budget", "--mode", "optical", "--t2", "0.00075"],
     ["pump"],
     ["pump", "--temperature", "0.1234"],
     ["fit", "--model", "decay", "--data", "{inputs}/decay.csv"],
